@@ -1,6 +1,7 @@
 //! Wafer configuration and the loss model constants tying geometry to the
 //! physical layer.
 
+use desim::fnv::Fnv;
 use phy::mzi::MziParams;
 use phy::stitch::StitchModel;
 use phy::wdm::WdmGrid;
@@ -80,6 +81,32 @@ impl WaferConfig {
             "propagation loss must be non-negative"
         );
         self
+    }
+
+    /// FNV-1a digest of every config field a router or link budget reads.
+    /// Two wafers with equal signatures fabricate identical stitch maps
+    /// (same `fab_seed`), so a plan captured on one replays on the other.
+    pub fn signature(&self) -> u64 {
+        let mut h = Fnv::new();
+        h.write_u64(self.rows as u64)
+            .write_u64(self.cols as u64)
+            .write_f64(self.tile_pitch_cm)
+            .write_u64(self.waveguides_per_edge as u64)
+            .write_u64(self.fibers_per_edge_tile as u64)
+            .write_u64(self.wdm.channels as u64)
+            .write_f64(self.wdm.start_nm)
+            .write_f64(self.wdm.spacing_nm)
+            .write_f64(self.wdm.rate.0)
+            .write_f64(self.mzi.insertion_loss_db)
+            .write_f64(self.stitch.mode_radius_um)
+            .write_f64(self.stitch.overlay_sigma_um)
+            .write_f64(self.stitch.base_loss_db)
+            .write_f64(self.propagation_loss_db_per_cm)
+            .write_u64(self.crossings_per_through_tile as u64)
+            .write_u64(self.crossings_per_turn as u64)
+            .write_f64(self.crosstalk_per_cochannel_db)
+            .write_u64(self.fab_seed);
+        h.finish()
     }
 
     /// Number of tiles on the wafer.

@@ -13,6 +13,7 @@
 //! switch.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::OnceLock;
 
 use desim::SimDuration;
 use phy::link_budget::{LinkBudget, LinkReport};
@@ -144,16 +145,62 @@ impl CrossCircuit {
     }
 }
 
+/// One hop of a [`CrossKey`]: near and far attach tiles as `(row, col)`,
+/// and the fiber length's bit pattern.
+type HopKey = ((u8, u8), (u8, u8), u64);
+
+/// Route-relative identity of a cross-wafer circuit: everything a fresh
+/// establish reads *except* which wafers the route crosses and their edge
+/// loads. Every wafer of a fabric shares one config, so two requests with
+/// equal keys route, budget and build their segments identically wherever
+/// they land, provided the loads agree — which the plan's witnesses check.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct CrossKey {
+    /// [`WaferConfig::signature`] of the fabric's wafers.
+    cfg_sig: u64,
+    src: (u8, u8),
+    dst: (u8, u8),
+    lanes: usize,
+    /// Per fiber hop, in traversal order.
+    hops: Vec<HopKey>,
+}
+
+/// The fiber route a fresh cross-wafer establish would take right now,
+/// with its [`CrossKey`]. Valid until the fabric's fiber usage next
+/// changes; [`Fabric::stamp_cross`] commits exactly these fibers.
+#[derive(Debug, Clone)]
+pub struct CrossRoute {
+    src: (WaferId, TileCoord),
+    dst: (WaferId, TileCoord),
+    lanes: usize,
+    fibers: Vec<usize>,
+    key: CrossKey,
+}
+
+impl CrossRoute {
+    /// The route-relative key a captured plan must match to be stamped.
+    pub fn key(&self) -> &CrossKey {
+        &self.key
+    }
+
+    /// Fiber link indices in hop order.
+    pub fn fibers(&self) -> &[usize] {
+        &self.fibers
+    }
+}
+
 /// A captured, re-stampable image of one successful cross-wafer establish:
-/// the fiber hops it chose, each intra-wafer segment's path and link
-/// report, the edge loads those decisions were made under (witnesses), and
-/// the end-to-end link report. [`Fabric::stamp_cross`] replays the image
-/// without re-running BFS fiber routing or any link-budget evaluation after
-/// verifying the witnesses still hold; on any mismatch the caller falls
+/// each intra-wafer segment's path and link report, the edge loads those
+/// decisions were made under (witnesses), and the end-to-end link report,
+/// keyed route-relatively by [`CrossKey`]. [`Fabric::stamp_cross`] replays
+/// the image onto any fresh [`CrossRoute`] with the same key — the same
+/// wafers or others — without any link-budget evaluation, after verifying
+/// the witnesses on the route's wafers; on any mismatch the caller falls
 /// back to [`Fabric::establish_cross`], which behaves identically by
 /// construction.
 #[derive(Debug, Clone)]
 pub struct CrossPlan {
+    key: CrossKey,
     src: (WaferId, TileCoord),
     dst: (WaferId, TileCoord),
     lanes: usize,
@@ -163,7 +210,7 @@ pub struct CrossPlan {
 }
 
 impl CrossPlan {
-    /// The `(src, dst)` endpoints this plan programs.
+    /// The `(src, dst)` endpoints this plan was captured at.
     pub fn endpoints(&self) -> ((WaferId, TileCoord), (WaferId, TileCoord)) {
         (self.src, self.dst)
     }
@@ -172,12 +219,24 @@ impl CrossPlan {
     pub fn lanes(&self) -> usize {
         self.lanes
     }
+
+    /// Fiber link indices the capture committed, in hop order.
+    pub fn fibers(&self) -> &[usize] {
+        &self.fibers
+    }
+
+    /// The route-relative key this plan stamps under.
+    pub fn key(&self) -> &CrossKey {
+        &self.key
+    }
 }
 
 /// One intra-wafer segment image inside a [`CrossPlan`].
 #[derive(Debug, Clone)]
 struct CrossSegmentPlan {
-    wafer: WaferId,
+    /// Position of the segment's wafer along the route: 0 is the source
+    /// wafer, `i` the wafer reached over the route's `i`-th fiber.
+    hop: usize,
     path: Path,
     link: LinkReport,
     /// `(edge, load)` pairs for every bus the fresh admission read while
@@ -193,8 +252,9 @@ enum CrossMode<'a> {
     Fresh,
     /// Fresh, plus record each segment's decision image.
     Capture(&'a mut Vec<CrossSegmentPlan>),
-    /// Replay a verified [`CrossPlan`] via the prebudgeted fast path.
-    Stamp(&'a CrossPlan),
+    /// Replay a verified [`CrossPlan`] via the prebudgeted fast path over
+    /// the given fresh fiber route.
+    Stamp(&'a CrossPlan, &'a [usize]),
 }
 
 /// Segment handles and manual SerDes claims accumulated while building a
@@ -212,6 +272,13 @@ pub struct Fabric {
     fibers: Vec<FiberState>,
     cross: BTreeMap<CrossCircuitId, CrossCircuit>,
     next_id: u64,
+    /// [`WaferConfig::signature`] shared by every wafer.
+    cfg_sig: u64,
+    /// Plant adjacency for fiber routing: one `(from, to, link)` entry per
+    /// bundle and direction, sorted. Built by the first route after the
+    /// plant last changed, so attaching bundles allocates nothing per
+    /// bundle.
+    adjacency: OnceLock<Vec<(WaferId, WaferId, usize)>>,
 }
 
 impl Fabric {
@@ -219,10 +286,12 @@ impl Fabric {
     pub fn new(n: usize, cfg: WaferConfig) -> Self {
         assert!(n >= 1, "a fabric needs at least one wafer");
         Fabric {
+            cfg_sig: cfg.signature(),
             wafers: (0..n).map(|_| Wafer::new(cfg.clone())).collect(),
             fibers: Vec::new(),
             cross: BTreeMap::new(),
             next_id: 0,
+            adjacency: OnceLock::new(),
         }
     }
 
@@ -256,6 +325,7 @@ impl Fabric {
         let _ = self.wafer(link.a.0).tile(link.a.1);
         let _ = self.wafer(link.b.0).tile(link.b.1);
         self.fibers.push(FiberState { link, used: 0 });
+        self.adjacency.take();
         self.fibers.len() - 1
     }
 
@@ -265,29 +335,27 @@ impl Fabric {
     }
 
     /// BFS for the shortest wafer-level path; when `respect_capacity` only
-    /// links with a free fiber count. Among parallel links between the same
-    /// wafers the least-loaded is chosen. Returns the fiber link indices in
-    /// hop order.
+    /// links with a free fiber count. Neighbours are visited in ascending
+    /// wafer id; among parallel links between the same wafers the one with
+    /// the most free fibers is chosen, the lowest index on ties. Returns
+    /// the fiber link indices in hop order.
     fn fiber_route(
         &self,
         from: WaferId,
         to: WaferId,
         respect_capacity: bool,
     ) -> Option<Vec<usize>> {
-        // Best link per ordered wafer pair.
-        let mut best: BTreeMap<(WaferId, WaferId), usize> = BTreeMap::new();
-        for (i, f) in self.fibers.iter().enumerate() {
-            if respect_capacity && f.free() == 0 {
-                continue;
+        let adj = self.adjacency.get_or_init(|| {
+            let mut adj = Vec::with_capacity(2 * self.fibers.len());
+            for (i, f) in self.fibers.iter().enumerate() {
+                adj.push((f.link.a.0, f.link.b.0, i));
+                adj.push((f.link.b.0, f.link.a.0, i));
             }
-            for (a, b) in [(f.link.a.0, f.link.b.0), (f.link.b.0, f.link.a.0)] {
-                let e = best.entry((a, b)).or_insert(i);
-                if self.fibers[*e].free() < f.free() {
-                    *e = i;
-                }
-            }
-        }
-        let mut prev: BTreeMap<WaferId, (WaferId, usize)> = BTreeMap::new();
+            adj.sort_unstable();
+            adj
+        });
+        let free = |i: usize| self.fibers.get(i).map_or(0, FiberState::free);
+        let mut prev: Vec<Option<(WaferId, usize)>> = vec![None; self.wafers.len()];
         let mut q = VecDeque::new();
         q.push_back(from);
         while let Some(w) = q.pop_front() {
@@ -295,28 +363,91 @@ impl Fabric {
                 let mut path = Vec::new();
                 let mut cur = to;
                 while cur != from {
-                    let (p, link) = prev[&cur];
+                    let (p, link) = prev.get(cur.0).copied().flatten()?;
                     path.push(link);
                     cur = p;
                 }
                 path.reverse();
                 return Some(path);
             }
-            // Deterministic neighbour order: ascending wafer id.
-            let mut neighbours: Vec<(WaferId, usize)> = best
-                .iter()
-                .filter(|((a, _), _)| *a == w)
-                .map(|((_, b), &i)| (*b, i))
-                .collect();
-            neighbours.sort_by_key(|&(b, _)| b);
-            for (b, i) in neighbours {
-                if b != from && !prev.contains_key(&b) {
-                    prev.insert(b, (w, i));
-                    q.push_back(b);
+            // `w`'s links, grouped by neighbour in ascending wafer id, each
+            // group in ascending link index.
+            let lo = adj.partition_point(|&(a, _, _)| a < w);
+            let hi = adj.partition_point(|&(a, _, _)| a <= w);
+            let mut out = adj.get(lo..hi).unwrap_or_default();
+            while let Some(&(_, b, _)) = out.first() {
+                let (parallel, rest) = out.split_at(out.partition_point(|&(_, nb, _)| nb == b));
+                out = rest;
+                let mut best: Option<usize> = None;
+                for &(_, _, i) in parallel {
+                    if respect_capacity && free(i) == 0 {
+                        continue;
+                    }
+                    if best.is_none_or(|bi| free(bi) < free(i)) {
+                        best = Some(i);
+                    }
+                }
+                if let (Some(link), true) = (best, b != from) {
+                    if let Some(slot @ None) = prev.get_mut(b.0) {
+                        *slot = Some((w, link));
+                        q.push_back(b);
+                    }
                 }
             }
         }
         None
+    }
+
+    /// The route-relative key of a request over `fibers`.
+    fn cross_key(
+        &self,
+        src: (WaferId, TileCoord),
+        dst: (WaferId, TileCoord),
+        lanes: usize,
+        fibers: &[usize],
+    ) -> CrossKey {
+        let mut wafer = src.0;
+        let hops = fibers
+            .iter()
+            .filter_map(|&fi| self.fibers.get(fi))
+            .map(|f| {
+                let (near, far) = f.oriented(wafer);
+                wafer = f.other_end(wafer);
+                (
+                    (near.row, near.col),
+                    (far.row, far.col),
+                    f.link.length_m.to_bits(),
+                )
+            })
+            .collect();
+        CrossKey {
+            cfg_sig: self.cfg_sig,
+            src: (src.1.row, src.1.col),
+            dst: (dst.1.row, dst.1.col),
+            lanes,
+            hops,
+        }
+    }
+
+    /// The fiber route a fresh [`establish_cross`](Self::establish_cross)
+    /// of this request would take right now, with its route-relative key;
+    /// `None` when no route with a free fiber on every hop exists (a fresh
+    /// establish then fails).
+    pub fn cross_route(
+        &self,
+        src: (WaferId, TileCoord),
+        dst: (WaferId, TileCoord),
+        lanes: usize,
+    ) -> Option<CrossRoute> {
+        let fibers = self.fiber_route(src.0, dst.0, true)?;
+        let key = self.cross_key(src, dst, lanes, &fibers);
+        Some(CrossRoute {
+            src,
+            dst,
+            lanes,
+            fibers,
+            key,
+        })
     }
 
     /// End-to-end loss budget of a prospective multi-hop circuit.
@@ -389,6 +520,7 @@ impl Fabric {
             id,
             setup,
             CrossPlan {
+                key: self.cross_key(src, dst, lanes, &fibers),
                 src,
                 dst,
                 lanes,
@@ -399,31 +531,61 @@ impl Fabric {
         ))
     }
 
-    /// Replay a captured [`CrossPlan`]: re-run the cheap fiber-route probe
-    /// and the per-segment load witnesses, and — when everything still
-    /// matches the capture — commit the identical circuit without any BFS
-    /// or link-budget evaluation. Returns `Ok(None)` when the fabric has
-    /// drifted from the captured image (the caller falls back to a fresh
+    /// True when `plan` can be stamped over `route`: the keys are equal and
+    /// every segment's load witnesses hold on the wafer at the same
+    /// position along the route.
+    pub fn cross_witnesses_hold(&self, plan: &CrossPlan, route: &CrossRoute) -> bool {
+        if plan.key != route.key {
+            return false;
+        }
+        // Segments come in route order, so one walk along the route serves
+        // them all.
+        let mut wafer = route.src.0;
+        let mut pos = 0;
+        let mut fibers = route.fibers.iter();
+        plan.segments.iter().all(|sp| {
+            while pos < sp.hop {
+                match fibers.next().and_then(|&fi| self.fibers.get(fi)) {
+                    Some(f) => wafer = f.other_end(wafer),
+                    None => return false,
+                }
+                pos += 1;
+            }
+            pos == sp.hop
+                && self
+                    .wafers
+                    .get(wafer.0)
+                    .is_some_and(|w| sp.witnesses.iter().all(|&(e, load)| w.edge_used(e) == load))
+        })
+    }
+
+    /// Replay a captured [`CrossPlan`] over a fresh [`CrossRoute`] with
+    /// the same key: check the plan's witnesses on the route's wafers
+    /// ([`cross_witnesses_hold`](Self::cross_witnesses_hold)), and — when
+    /// all still hold — commit the identical circuit over the route's
+    /// fibers without any link-budget evaluation. Returns `Ok(None)` when the key differs or a
+    /// witness drifted (the caller falls back to a fresh
     /// [`establish_cross`](Self::establish_cross)); establish-time errors
     /// (SerDes exhaustion, failed tiles) surface exactly as a fresh
     /// admission would raise them.
+    ///
+    /// Contract: `route` comes from [`cross_route`](Self::cross_route) with
+    /// no fabric mutation since. Debug builds re-probe the route and
+    /// re-evaluate the link report to assert it.
     pub fn stamp_cross(
         &mut self,
         plan: &CrossPlan,
+        route: &CrossRoute,
     ) -> Result<Option<(CrossCircuitId, SimDuration)>, CircuitError> {
-        match self.fiber_route(plan.src.0, plan.dst.0, true) {
-            Some(f) if f == plan.fibers => {}
-            _ => return Ok(None),
+        if !self.cross_witnesses_hold(plan, route) {
+            return Ok(None);
         }
-        for sp in &plan.segments {
-            for &(e, load) in &sp.witnesses {
-                if self.wafer(sp.wafer).edge_used(e) != load {
-                    return Ok(None);
-                }
-            }
-        }
-        let (id, setup, _) =
-            self.cross_impl(plan.src, plan.dst, plan.lanes, CrossMode::Stamp(plan))?;
+        let (id, setup, _) = self.cross_impl(
+            route.src,
+            route.dst,
+            route.lanes,
+            CrossMode::Stamp(plan, &route.fibers),
+        )?;
         Ok(Some((id, setup)))
     }
 
@@ -438,15 +600,14 @@ impl Fabric {
             src.0, dst.0,
             "use Wafer::establish for circuits within one wafer"
         );
-        let fibers = if let CrossMode::Stamp(plan) = &mode {
-            // `stamp_cross` verified the route is still the one a fresh
-            // admission would choose.
+        let fibers = if let CrossMode::Stamp(_, fibers) = &mode {
+            // The stamp's route is the one a fresh admission would choose.
             debug_assert_eq!(
                 self.fiber_route(src.0, dst.0, true).as_deref(),
-                Some(plan.fibers.as_slice()),
+                Some(*fibers),
                 "stamped fiber route diverged from a fresh probe"
             );
-            plan.fibers.clone()
+            fibers.to_vec()
         } else {
             match self.fiber_route(src.0, dst.0, true) {
                 Some(p) => p,
@@ -489,7 +650,7 @@ impl Fabric {
         // captured report: the witnesses pin every load the budget reads,
         // so a fresh evaluation would reproduce it bit-for-bit (asserted in
         // debug builds).
-        let link = if let CrossMode::Stamp(plan) = &mode {
+        let link = if let CrossMode::Stamp(plan, _) = &mode {
             debug_assert_eq!(
                 crate::wafer::report_bits(&plan.link),
                 crate::wafer::report_bits(
@@ -572,7 +733,7 @@ impl Fabric {
                 let mut req = CircuitRequest::new(at, near, lanes);
                 req.claim_src_serdes = first;
                 req.claim_dst_serdes = false;
-                let id = self.establish_segment(wafer, req, mode, &mut seg_cursor)?;
+                let id = self.establish_segment(wafer, hop, req, mode, &mut seg_cursor)?;
                 build.segments.push((wafer, id));
             } else if first {
                 // Source sits on the attach tile: claim tx manually.
@@ -605,7 +766,7 @@ impl Fabric {
             let mut req = CircuitRequest::new(at, dst.1, lanes);
             req.claim_src_serdes = false;
             req.claim_dst_serdes = true;
-            let id = self.establish_segment(wafer, req, mode, &mut seg_cursor)?;
+            let id = self.establish_segment(wafer, fibers.len(), req, mode, &mut seg_cursor)?;
             build.segments.push((wafer, id));
         } else {
             let tile = self.wafers[wafer.0].tile_mut(at);
@@ -640,6 +801,7 @@ impl Fabric {
     fn establish_segment(
         &mut self,
         wafer: WaferId,
+        hop: usize,
         req: CircuitRequest,
         mode: &mut CrossMode<'_>,
         seg_cursor: &mut usize,
@@ -663,20 +825,18 @@ impl Fabric {
                     .circuit(rep.id)
                     .ok_or(CircuitError::UnknownCircuit(rep.id))?;
                 segs.push(CrossSegmentPlan {
-                    wafer,
+                    hop,
                     path: ckt.path.clone(),
                     link: ckt.link,
                     witnesses,
                 });
                 Ok(rep.id)
             }
-            CrossMode::Stamp(plan) => {
+            CrossMode::Stamp(plan, _) => {
                 let sp = plan.segments.get(*seg_cursor);
                 *seg_cursor += 1;
                 match sp {
-                    Some(sp)
-                        if sp.wafer == wafer && sp.path.src() == src && sp.path.dst() == dst =>
-                    {
+                    Some(sp) if sp.hop == hop && sp.path.src() == src && sp.path.dst() == dst => {
                         Ok(self
                             .wafer_mut(wafer)
                             .establish_prebudgeted(req.via(sp.path.clone()), sp.link)?
@@ -1091,6 +1251,118 @@ mod tests {
         // l1 had more free fibers; it should have been used.
         assert_eq!(f.fiber_free(l0), 1);
         assert_eq!(f.fiber_free(l1), 1);
+    }
+
+    /// The original `fiber_route`: a best-link map over every bundle,
+    /// rebuilt per call and scanned at each BFS node. Kept as the oracle the
+    /// adjacency-indexed route must match exactly.
+    fn fiber_route_oracle(
+        f: &Fabric,
+        from: WaferId,
+        to: WaferId,
+        respect_capacity: bool,
+    ) -> Option<Vec<usize>> {
+        let mut best: BTreeMap<(WaferId, WaferId), usize> = BTreeMap::new();
+        for (i, fs) in f.fibers.iter().enumerate() {
+            if respect_capacity && fs.free() == 0 {
+                continue;
+            }
+            for (a, b) in [(fs.link.a.0, fs.link.b.0), (fs.link.b.0, fs.link.a.0)] {
+                let e = best.entry((a, b)).or_insert(i);
+                if f.fibers[*e].free() < fs.free() {
+                    *e = i;
+                }
+            }
+        }
+        let mut prev: BTreeMap<WaferId, (WaferId, usize)> = BTreeMap::new();
+        let mut q = VecDeque::new();
+        q.push_back(from);
+        while let Some(w) = q.pop_front() {
+            if w == to {
+                let mut path = Vec::new();
+                let mut cur = to;
+                while cur != from {
+                    let (p, link) = prev[&cur];
+                    path.push(link);
+                    cur = p;
+                }
+                path.reverse();
+                return Some(path);
+            }
+            let mut neighbours: Vec<(WaferId, usize)> = best
+                .iter()
+                .filter(|((a, _), _)| *a == w)
+                .map(|((_, b), &i)| (*b, i))
+                .collect();
+            neighbours.sort_by_key(|&(b, _)| b);
+            for (b, i) in neighbours {
+                if b != from && !prev.contains_key(&b) {
+                    prev.insert(b, (w, i));
+                    q.push_back(b);
+                }
+            }
+        }
+        None
+    }
+
+    fn assert_routes_match_oracle(f: &Fabric, seed: u64) {
+        let n = f.wafer_count();
+        for from in 0..n {
+            for to in 0..n {
+                for respect in [false, true] {
+                    let (a, b) = (WaferId(from), WaferId(to));
+                    assert_eq!(
+                        f.fiber_route(a, b, respect),
+                        fiber_route_oracle(f, a, b, respect),
+                        "seed {seed}: {from} -> {to}, respect_capacity {respect}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_fiber_route_equals_the_map_oracle() {
+        let mut routed = 0;
+        for seed in 0..200u64 {
+            let mut rng = desim::SimRng::seed_from_u64(seed);
+            let n = 2 + rng.gen_range_usize(7);
+            let mut f = Fabric::new(n, WaferConfig::fig2c_2x4());
+            let tile =
+                |rng: &mut desim::SimRng| t(rng.gen_range_u64(2) as u8, rng.gen_range_u64(4) as u8);
+            let bundles = rng.gen_range_usize(3 * n);
+            for k in 0..=bundles {
+                let a = rng.gen_range_usize(n);
+                // Parallel bundles: reuse the previous pair half the time.
+                let b = (a + 1 + rng.gen_range_usize(n - 1)) % n;
+                let (a, b) = match f.fibers.last() {
+                    Some(last) if rng.gen_bool(0.5) => (last.link.a.0 .0, last.link.b.0 .0),
+                    _ => (a, b),
+                };
+                let capacity = 1 + rng.gen_range_u64(3) as u32;
+                let i = f.attach_fiber(FiberLink {
+                    a: (WaferId(a), tile(&mut rng)),
+                    b: (WaferId(b), tile(&mut rng)),
+                    capacity,
+                    length_m: 1.0,
+                });
+                // Random usage, saturating some bundles outright.
+                f.fibers[i].used = rng.gen_range_u64(capacity as u64 + 1) as u32;
+                // Route mid-construction too: attaching must invalidate the
+                // adjacency built by an earlier route.
+                if k % 4 == 0 {
+                    assert_routes_match_oracle(&f, seed);
+                }
+            }
+            assert_routes_match_oracle(&f, seed);
+            routed += (0..n)
+                .filter(|&w| f.fiber_route(WaferId(0), WaferId(w), true).is_some())
+                .count();
+        }
+        assert!(
+            routed > 200,
+            "plants too sparse to exercise routing: {routed}"
+        );
     }
 
     #[test]

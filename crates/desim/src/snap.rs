@@ -21,6 +21,7 @@
 //! snapshot file degrades into a diagnosable restore error, not a crash.
 
 use crate::fnv::Fnv;
+use std::fmt::Write;
 
 /// Builds a canonical snapshot string and its fingerprint.
 #[derive(Debug, Default)]
@@ -46,23 +47,21 @@ impl SnapWriter {
     /// Write `key=<decimal u64>`.
     pub fn u64(&mut self, key: &str, v: u64) {
         self.key(key);
-        self.buf.push_str(&v.to_string());
-        self.buf.push('\n');
+        // Formatting into a `String` cannot fail.
+        let _ = writeln!(self.buf, "{v}");
     }
 
     /// Write `key=<decimal i64>`.
     pub fn i64(&mut self, key: &str, v: i64) {
         self.key(key);
-        self.buf.push_str(&v.to_string());
-        self.buf.push('\n');
+        let _ = writeln!(self.buf, "{v}");
     }
 
     /// Write an `f64` as its exact bit pattern (`{:016x}`), so restore is
     /// bit-identical and no decimal rounding can perturb a fingerprint.
     pub fn f64(&mut self, key: &str, v: f64) {
         self.key(key);
-        self.buf.push_str(&format!("{:016x}", v.to_bits()));
-        self.buf.push('\n');
+        let _ = writeln!(self.buf, "{:016x}", v.to_bits());
     }
 
     /// Write a bool as `0`/`1`.
@@ -95,16 +94,27 @@ impl SnapWriter {
 }
 
 fn push_escaped(buf: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '\\' => buf.push_str("\\\\"),
-            '\n' => buf.push_str("\\n"),
-            '\r' => buf.push_str("\\r"),
-            ']' => buf.push_str("\\b"),
-            '=' => buf.push_str("\\e"),
-            _ => buf.push(c),
-        }
+    // Copy the runs between escapable bytes in one go. Every escaped
+    // character is ASCII, so the offsets a byte scan finds are char
+    // boundaries.
+    let mut rest = s;
+    while let Some(i) = rest
+        .bytes()
+        .position(|b| matches!(b, b'\\' | b'\n' | b'\r' | b']' | b'='))
+    {
+        let (run, tail) = rest.split_at(i);
+        buf.push_str(run);
+        let (special, tail) = tail.split_at(1);
+        buf.push_str(match special {
+            "\\" => "\\\\",
+            "\n" => "\\n",
+            "\r" => "\\r",
+            "]" => "\\b",
+            _ => "\\e",
+        });
+        rest = tail;
     }
+    buf.push_str(rest);
 }
 
 fn unescape(s: &str) -> Result<String, String> {
@@ -291,6 +301,59 @@ mod tests {
             let got = SnapReader::new(&text).f64("v").expect("v");
             assert_eq!(got.to_bits(), v.to_bits());
         }
+    }
+
+    #[test]
+    fn writer_bytes_are_pinned_for_edge_values() {
+        let mut w = SnapWriter::new();
+        w.section("a]b=c");
+        w.u64("max", u64::MAX);
+        w.u64("zero", 0);
+        w.i64("min", i64::MIN);
+        w.i64("neg", -1);
+        w.f64("negzero", -0.0);
+        w.f64("nan", f64::NAN);
+        w.f64("inf", f64::INFINITY);
+        w.f64("neginf", f64::NEG_INFINITY);
+        w.bool("t", true);
+        w.str("k\\e\ny\r]=", "v\\a\nl\r]=ue");
+        w.str("plain", "héllo wörld");
+        w.str("utf8", "é=ü\nß");
+        let text = w.finish();
+        assert_eq!(
+            text,
+            "[a\\bb\\ec]\n\
+             max=18446744073709551615\n\
+             zero=0\n\
+             min=-9223372036854775808\n\
+             neg=-1\n\
+             negzero=8000000000000000\n\
+             nan=7ff8000000000000\n\
+             inf=7ff0000000000000\n\
+             neginf=fff0000000000000\n\
+             t=1\n\
+             k\\\\e\\ny\\r\\b\\e=v\\\\a\\nl\\r\\b\\eue\n\
+             plain=héllo wörld\n\
+             utf8=é\\eü\\nß\n"
+        );
+        let mut r = SnapReader::new(&text);
+        r.section("a]b=c").expect("section");
+        assert_eq!(r.u64("max").expect("max"), u64::MAX);
+        assert_eq!(r.u64("zero").expect("zero"), 0);
+        assert_eq!(r.i64("min").expect("min"), i64::MIN);
+        assert_eq!(r.i64("neg").expect("neg"), -1);
+        assert_eq!(
+            r.f64("negzero").expect("negzero").to_bits(),
+            (-0.0f64).to_bits()
+        );
+        assert_eq!(r.f64("nan").expect("nan").to_bits(), f64::NAN.to_bits());
+        assert_eq!(r.f64("inf").expect("inf"), f64::INFINITY);
+        assert_eq!(r.f64("neginf").expect("neginf"), f64::NEG_INFINITY);
+        assert!(r.bool("t").expect("t"));
+        assert_eq!(r.str("k\\e\ny\r]=").expect("escaped"), "v\\a\nl\r]=ue");
+        assert_eq!(r.str("plain").expect("plain"), "héllo wörld");
+        assert_eq!(r.str("utf8").expect("utf8"), "é=ü\nß");
+        r.done().expect("done");
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! hand-rolled JSON (the workspace is offline and carries no serde).
 
 use desim::SimTime;
+use std::fmt;
 use topo::{Coord3, Shape3};
 
 /// Immutable run parameters recorded at journal creation.
@@ -202,8 +203,9 @@ pub struct StitchLegRecord {
 }
 
 impl StitchLegRecord {
-    fn canon(&self) -> String {
-        format!(
+    fn write_canon(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        write!(
+            w,
             "{}@g{}:{}+{}",
             self.leg, self.group, self.origin, self.extent
         )
@@ -211,28 +213,28 @@ impl StitchLegRecord {
 }
 
 impl JournalEntry {
-    fn canon(&self) -> String {
+    /// Write the entry's canonical encoding (see [`Record::canon`]).
+    fn write_canon(&self, w: &mut impl fmt::Write) -> fmt::Result {
         match self {
             JournalEntry::Admit {
                 job,
                 origin,
                 extent,
-            } => {
-                format!("admit job={job} origin={origin} extent={extent}")
-            }
+            } => write!(w, "admit job={job} origin={origin} extent={extent}"),
             JournalEntry::Deny { job, shape, reason } => {
-                format!("deny job={job} shape={shape} reason={}", reason.canon())
+                write!(w, "deny job={job} shape={shape} reason={}", reason.canon())
             }
             JournalEntry::Program {
                 job,
                 circuits,
                 batches,
                 cross,
-            } => {
-                format!("program job={job} circuits={circuits} batches={batches} cross={cross}")
-            }
+            } => write!(
+                w,
+                "program job={job} circuits={circuits} batches={batches} cross={cross}"
+            ),
             JournalEntry::Reconfigure { job, micros } => {
-                format!("reconfigure job={job} micros={micros:.3}")
+                write!(w, "reconfigure job={job} micros={micros:.3}")
             }
             JournalEntry::Fail {
                 incident,
@@ -240,8 +242,12 @@ impl JournalEntry {
                 victim,
                 spliced,
             } => {
-                let v = victim.map_or("-".to_string(), |v| v.to_string());
-                format!("fail incident={incident} chip={chip} victim={v} spliced={spliced}")
+                write!(w, "fail incident={incident} chip={chip} victim=")?;
+                match victim {
+                    Some(v) => write!(w, "{v}")?,
+                    None => w.write_str("-")?,
+                }
+                write!(w, " spliced={spliced}")
             }
             JournalEntry::Repair {
                 incident,
@@ -249,7 +255,8 @@ impl JournalEntry {
                 circuits,
                 servers_touched,
                 blast_servers,
-            } => format!(
+            } => write!(
+                w,
                 "repair incident={incident} replacement={replacement} circuits={circuits} \
                  servers={servers_touched} blast={blast_servers}"
             ),
@@ -257,27 +264,30 @@ impl JournalEntry {
                 incident,
                 replacement,
                 error,
-            } => {
-                format!("repair-failed incident={incident} replacement={replacement} error={error}")
-            }
+            } => write!(
+                w,
+                "repair-failed incident={incident} replacement={replacement} error={error}"
+            ),
             JournalEntry::Reject {
                 job,
                 shape,
                 attempt,
                 code,
-            } => {
-                format!("reject job={job} shape={shape} attempt={attempt} code={code}")
-            }
+            } => write!(
+                w,
+                "reject job={job} shape={shape} attempt={attempt} code={code}"
+            ),
             JournalEntry::Rollback {
                 job,
                 attempt,
                 circuits,
-            } => {
-                format!("rollback job={job} attempt={attempt} circuits={circuits}")
-            }
-            JournalEntry::Evict { job } => format!("evict job={job}"),
+            } => write!(
+                w,
+                "rollback job={job} attempt={attempt} circuits={circuits}"
+            ),
+            JournalEntry::Evict { job } => write!(w, "evict job={job}"),
             JournalEntry::Snapshot { fingerprint } => {
-                format!("snapshot fingerprint={fingerprint:#018x}")
+                write!(w, "snapshot fingerprint={fingerprint:#018x}")
             }
             JournalEntry::MultiGroupAdmit {
                 job,
@@ -285,13 +295,21 @@ impl JournalEntry {
                 legs,
                 ports,
             } => {
-                let legs: Vec<String> = legs.iter().map(|l| l.canon()).collect();
-                let ports: Vec<String> = ports.iter().map(|p| p.to_string()).collect();
-                format!(
-                    "multi-admit job={job} extent={extent} legs=[{}] ports=[{}]",
-                    legs.join(";"),
-                    ports.join(",")
-                )
+                write!(w, "multi-admit job={job} extent={extent} legs=[")?;
+                for (i, l) in legs.iter().enumerate() {
+                    if i > 0 {
+                        w.write_str(";")?;
+                    }
+                    l.write_canon(w)?;
+                }
+                w.write_str("] ports=[")?;
+                for (i, p) in ports.iter().enumerate() {
+                    if i > 0 {
+                        w.write_str(",")?;
+                    }
+                    write!(w, "{p}")?;
+                }
+                w.write_str("]")
             }
         }
     }
@@ -329,12 +347,16 @@ pub struct Record {
 impl Record {
     /// Canonical single-line encoding; hashing and goldens key off this.
     pub fn canon(&self) -> String {
-        format!(
-            "seq={} t={}ps {}",
-            self.seq,
-            self.at.as_ps(),
-            self.entry.canon()
-        )
+        let mut out = String::new();
+        // Writing into a `String` cannot fail.
+        let _ = self.write_canon(&mut out);
+        out
+    }
+
+    /// Write [`canon`](Self::canon) into `w` without building a `String`.
+    fn write_canon(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        write!(w, "seq={} t={}ps ", self.seq, self.at.as_ps())?;
+        self.entry.write_canon(w)
     }
 }
 
@@ -347,7 +369,9 @@ impl Record {
 /// prefix folded into `base_fnv`. [`hash`](Journal::hash) and
 /// [`len`](Journal::len) therefore report identical values before and
 /// after compaction — truncation is a storage optimization, never an
-/// observable history rewrite.
+/// observable history rewrite. The hash chain is folded on
+/// [`push`](Journal::push) into `tip_fnv`, so [`hash`](Journal::hash) is
+/// O(1) however long the journal grows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Journal {
     header: JournalHeader,
@@ -359,6 +383,9 @@ pub struct Journal {
     /// compacted-away record, i.e. the hash fold up to (but excluding)
     /// record `base_seq`.
     base_fnv: u64,
+    /// Running FNV-1a state over the canonical header plus every record
+    /// pushed so far, retained or compacted: the value of `hash()`.
+    tip_fnv: u64,
 }
 
 /// FNV-1a offset basis (64-bit).
@@ -370,6 +397,26 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     bytes
         .iter()
         .fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
+}
+
+/// FNV-1a state as an [`fmt::Write`] sink, so canonical lines fold into
+/// the hash chain without being materialized as `String`s.
+struct FnvSink(u64);
+
+impl fmt::Write for FnvSink {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv1a(self.0, s.as_bytes());
+        Ok(())
+    }
+}
+
+/// Extend the hash chain `hash` by one record: a newline separator, then
+/// the record's canonical line.
+fn fold_record(hash: u64, r: &Record) -> u64 {
+    let mut sink = FnvSink(fnv1a(hash, b"\n"));
+    // The sink never fails.
+    let _ = r.write_canon(&mut sink);
+    sink.0
 }
 
 /// The header's canonical line (the first hash-fold contribution).
@@ -389,6 +436,7 @@ impl Journal {
             records: Vec::new(),
             base_seq: 0,
             base_fnv,
+            tip_fnv: base_fnv,
         }
     }
 
@@ -404,6 +452,7 @@ impl Journal {
             records: Vec::new(),
             base_seq,
             base_fnv,
+            tip_fnv: base_fnv,
         }
     }
 
@@ -433,7 +482,9 @@ impl Journal {
     /// number.
     pub fn push(&mut self, at: SimTime, entry: JournalEntry) -> u64 {
         let seq = self.next_seq();
-        self.records.push(Record { seq, at, entry });
+        let record = Record { seq, at, entry };
+        self.tip_fnv = fold_record(self.tip_fnv, &record);
+        self.records.push(record);
         seq
     }
 
@@ -487,10 +538,11 @@ impl Journal {
                 ));
             }
         }
-        for r in self.records.iter().take(keep_from) {
-            self.base_fnv = fnv1a(self.base_fnv, b"\n");
-            self.base_fnv = fnv1a(self.base_fnv, r.canon().as_bytes());
-        }
+        self.base_fnv = self
+            .records
+            .iter()
+            .take(keep_from)
+            .fold(self.base_fnv, fold_record);
         self.records.drain(..keep_from);
         self.base_seq = watermark;
         Ok(keep_from)
@@ -498,14 +550,10 @@ impl Journal {
 
     /// 64-bit FNV-1a over the canonical encoding of the header and every
     /// record (compacted-away ones included, via the folded base state).
-    /// Two runs are decision-identical iff their hashes agree.
+    /// Two runs are decision-identical iff their hashes agree. O(1): the
+    /// chain is folded as records are pushed.
     pub fn hash(&self) -> u64 {
-        let mut h = self.base_fnv;
-        for r in &self.records {
-            h = fnv1a(h, b"\n");
-            h = fnv1a(h, r.canon().as_bytes());
-        }
-        h
+        self.tip_fnv
     }
 
     /// Dump the journal as JSON (hand-rolled; the workspace has no serde).
@@ -878,6 +926,104 @@ mod tests {
         assert_eq!(seq, mid_seq);
         assert_eq!(resumed.hash(), full.hash());
         assert_eq!(resumed.len(), full.len());
+    }
+
+    /// A random entry covering every variant's canon shape.
+    fn random_entry(rng: &mut desim::SimRng) -> JournalEntry {
+        let job = rng.gen_range_u64(64) as u32;
+        let c = Coord3::new(
+            rng.gen_range_usize(4),
+            rng.gen_range_usize(4),
+            rng.gen_range_usize(16),
+        );
+        match rng.gen_range_u64(8) {
+            0 => JournalEntry::Admit {
+                job,
+                origin: c,
+                extent: Shape3::new(2, 2, 1),
+            },
+            1 => JournalEntry::Reconfigure {
+                job,
+                micros: rng.gen_range_f64(0.0, 10.0),
+            },
+            2 => JournalEntry::Fail {
+                incident: rng.gen_range_u64(8),
+                chip: c,
+                victim: rng.gen_bool(0.5).then_some(job),
+                spliced: 2,
+            },
+            3 => JournalEntry::RepairFailed {
+                incident: 1,
+                replacement: c,
+                error: "lanes\nexhausted".to_string(),
+            },
+            4 => JournalEntry::Snapshot {
+                fingerprint: rng.next_u64(),
+            },
+            5 => JournalEntry::MultiGroupAdmit {
+                job,
+                extent: Shape3::new(4, 4, 4),
+                legs: vec![StitchLegRecord {
+                    leg: 0x8000_0000 | job,
+                    group: 1,
+                    origin: c,
+                    extent: Shape3::new(4, 4, 2),
+                }],
+                ports: (0..rng.gen_range_u64(4) as u32).collect(),
+            },
+            6 => JournalEntry::Deny {
+                job,
+                shape: Shape3::new(1, 1, 1),
+                reason: DenyReason::QueueTimeout,
+            },
+            _ => JournalEntry::Evict { job },
+        }
+    }
+
+    /// The hash chain refolded from scratch over the header and every
+    /// record line ever pushed — the definition `hash()` must match.
+    fn refold(lines: &[String]) -> u64 {
+        lines.iter().fold(
+            fnv1a(FNV_OFFSET, canon_header(&header()).as_bytes()),
+            |h, l| fnv1a(fnv1a(h, b"\n"), l.as_bytes()),
+        )
+    }
+
+    #[test]
+    fn incremental_hash_equals_a_full_refold() {
+        for seed in 0..64 {
+            let mut rng = desim::SimRng::seed_from_u64(seed);
+            let mut j = Journal::new(header());
+            let mut lines: Vec<String> = Vec::new();
+            for step in 0..120u64 {
+                match rng.gen_range_u64(10) {
+                    // Compact to a random retained snapshot record.
+                    0 => {
+                        let snaps: Vec<u64> = j
+                            .records()
+                            .iter()
+                            .filter(|r| matches!(r.entry, JournalEntry::Snapshot { .. }))
+                            .map(|r| r.seq)
+                            .collect();
+                        if !snaps.is_empty() {
+                            let w = *rng.choose(&snaps);
+                            j.compact_to(w).expect("watermark is a retained snapshot");
+                        }
+                    }
+                    // Crash-restart: resume from the current chain state.
+                    1 => j = Journal::with_base(header(), j.next_seq(), j.hash()),
+                    _ => {
+                        let entry = random_entry(&mut rng);
+                        let seq = j.push(SimTime::from_ps(step * 7), entry);
+                        let pushed = j.records().last().expect("just pushed");
+                        assert_eq!(pushed.seq, seq);
+                        lines.push(pushed.canon());
+                    }
+                }
+                assert_eq!(j.hash(), refold(&lines), "seed {seed} step {step}");
+                assert_eq!(j.len(), lines.len(), "seed {seed} step {step}");
+            }
+        }
     }
 
     #[test]

@@ -108,6 +108,7 @@ impl RouteTelemetry {
         self.plan.stamped_circuits += other.plan.stamped_circuits;
         self.plan_resident += other.plan_resident;
         self.cross.hits += other.cross.hits;
+        self.cross.relocated += other.cross.relocated;
         self.cross.misses += other.cross.misses;
         self.cross.fallbacks += other.cross.fallbacks;
         self.cross.evictions += other.cross.evictions;

@@ -13,8 +13,8 @@
 use collectives::snake_order;
 use desim::SimDuration;
 use lightpath::{
-    CircuitError, CrossCircuitId, CrossPlan, CtrlFault, Fabric, FabricCircuit, FabricError,
-    TileCoord, WaferId,
+    CircuitError, CrossCircuitId, CrossKey, CrossPlan, CtrlFault, Fabric, FabricCircuit,
+    FabricError, TileCoord, WaferId,
 };
 use resilience::chip_to_tile;
 use route::{allocate_non_overlapping_with, Demand, PlanLibrary, PlanStats, Searcher, StampAudit};
@@ -42,8 +42,13 @@ impl CircuitPlan {
     }
 }
 
-/// Bound on cached cross-wafer plans (FIFO eviction).
+/// Bound on cached cross-wafer plan keys (FIFO eviction).
 const CROSS_PLAN_CAPACITY: usize = 256;
+
+/// Bound on plans kept per key, one per witness-load pattern seen (FIFO
+/// eviction within the key). Relocated routes land on wafers whose loads
+/// differ from the capture's; a few variants cover the common patterns.
+const CROSS_PLAN_VARIANTS: usize = 8;
 
 /// Cross-wafer plan cache counters. Telemetry only — never journaled or
 /// fingerprinted.
@@ -51,38 +56,32 @@ const CROSS_PLAN_CAPACITY: usize = 256;
 pub struct CrossPlanStats {
     /// Cross circuits established by stamping a cached [`CrossPlan`].
     pub hits: u64,
+    /// Hits whose circuit landed on other wafers or fibers than the plan
+    /// was captured on (route-relative relocation).
+    pub relocated: u64,
     /// Cross circuits established fresh (and captured for next time).
     pub misses: u64,
-    /// Stamps refused because a witness or the fiber route drifted; the
-    /// circuit was then established fresh and re-captured.
+    /// Lookups whose key was cached but no cached plan's witnesses held on
+    /// the route's wafers; the circuit was then established fresh and
+    /// captured as another variant of the key.
     pub fallbacks: u64,
-    /// Plans dropped by the FIFO capacity bound.
+    /// Plans dropped by the FIFO capacity bounds.
     pub evictions: u64,
-}
-
-/// Identity of a cross-wafer hop: endpoints and lane count.
-type CrossKey = ((usize, u8, u8), (usize, u8, u8), usize);
-
-fn cross_key(src: (WaferId, TileCoord), dst: (WaferId, TileCoord), lanes: usize) -> CrossKey {
-    (
-        (src.0 .0, src.1.row, src.1.col),
-        (dst.0 .0, dst.1.row, dst.1.col),
-        lanes,
-    )
 }
 
 /// The routing scratch and plan caches a control plane holds across every
 /// plan it commits: one reusable A* [`Searcher`] (so retried and replayed
 /// programs never allocate a fresh scratch per call), the intra-wafer
 /// [`PlanLibrary`] of relocatable batch templates, and a FIFO cache of
-/// captured [`CrossPlan`]s. All caches are pure accelerators: a warm and a
-/// cold engine produce byte-identical fabric state, which is why none of
-/// this is journaled, snapshotted, or fingerprinted.
+/// captured [`CrossPlan`]s keyed route-relatively ([`CrossKey`]). All
+/// caches are pure accelerators: a warm and a cold engine produce
+/// byte-identical fabric state, which is why none of this is journaled,
+/// snapshotted, or fingerprinted.
 #[derive(Debug, Clone)]
 pub struct PlanEngine {
     searcher: Searcher,
     library: PlanLibrary,
-    cross: BTreeMap<CrossKey, CrossPlan>,
+    cross: BTreeMap<CrossKey, Vec<CrossPlan>>,
     cross_order: VecDeque<CrossKey>,
     cross_stats: CrossPlanStats,
 }
@@ -128,12 +127,13 @@ impl PlanEngine {
 
     /// Cross-wafer plans currently resident.
     pub fn resident_cross_plans(&self) -> usize {
-        self.cross.len()
+        self.cross.values().map(Vec::len).sum()
     }
 
-    /// Establish one cross-wafer circuit, stamping a cached plan when its
-    /// witnesses still hold and falling back to (and re-capturing) a fresh
-    /// establish otherwise.
+    /// Establish one cross-wafer circuit: probe the fresh fiber route,
+    /// stamp the plan cached under its route-relative key when the plan's
+    /// witnesses hold on the route's wafers, and fall back to (and
+    /// re-capture) a fresh establish otherwise.
     fn establish_cross(
         &mut self,
         fabric: &mut Fabric,
@@ -141,28 +141,45 @@ impl PlanEngine {
         dst: (WaferId, TileCoord),
         lanes: usize,
     ) -> Result<(CrossCircuitId, SimDuration), CircuitError> {
-        let key = cross_key(src, dst, lanes);
-        if let Some(plan) = self.cross.get(&key) {
-            // An error out of a stamp is exactly the error a fresh
-            // establish would raise (the witnesses pin the same paths), so
-            // it propagates rather than falling back.
-            match fabric.stamp_cross(plan)? {
-                Some(done) => {
+        let Some(route) = fabric.cross_route(src, dst, lanes) else {
+            // No fiber route with capacity: the fresh establish raises the
+            // typed error.
+            self.cross_stats.misses += 1;
+            return fabric.establish_cross(src, dst, lanes);
+        };
+        if let Some(plans) = self.cross.get(route.key()) {
+            let fits = plans
+                .iter()
+                .find(|p| fabric.cross_witnesses_hold(p, &route));
+            if let Some(plan) = fits {
+                // An error out of a stamp is exactly the error a fresh
+                // establish would raise (the witnesses pin the same paths),
+                // so it propagates rather than falling back.
+                if let Some(done) = fabric.stamp_cross(plan, &route)? {
                     self.cross_stats.hits += 1;
+                    if plan.fibers() != route.fibers() || plan.endpoints().0 .0 != src.0 {
+                        self.cross_stats.relocated += 1;
+                    }
                     return Ok(done);
                 }
-                None => self.cross_stats.fallbacks += 1,
             }
+            self.cross_stats.fallbacks += 1;
         }
         self.cross_stats.misses += 1;
         let (id, setup, plan) = fabric.establish_cross_captured(src, dst, lanes)?;
-        if self.cross.insert(key, plan).is_none() {
-            self.cross_order.push_back(key);
-            while self.cross_order.len() > CROSS_PLAN_CAPACITY {
-                if let Some(old) = self.cross_order.pop_front() {
-                    if self.cross.remove(&old).is_some() {
-                        self.cross_stats.evictions += 1;
-                    }
+        let plans = self.cross.entry(plan.key().clone()).or_default();
+        if plans.is_empty() {
+            self.cross_order.push_back(plan.key().clone());
+        }
+        if plans.len() >= CROSS_PLAN_VARIANTS {
+            plans.remove(0);
+            self.cross_stats.evictions += 1;
+        }
+        plans.push(plan);
+        while self.cross_order.len() > CROSS_PLAN_CAPACITY {
+            if let Some(old) = self.cross_order.pop_front() {
+                if let Some(dropped) = self.cross.remove(&old) {
+                    self.cross_stats.evictions += dropped.len() as u64;
                 }
             }
         }
@@ -417,6 +434,75 @@ mod tests {
             cross.hits >= 2,
             "warm cycles must stamp cross plans: {cross:?}"
         );
+    }
+
+    /// The cross-plan cache relocates plans route-relatively: driving one
+    /// random sequence of cross establishes, teardowns and tile failures
+    /// through a [`PlanEngine`] and through plain `establish_cross` must
+    /// leave both fabrics byte-identical after every step, with identical
+    /// handles and errors — and some stamps must land on other wafers than
+    /// their plan was captured on.
+    #[test]
+    fn relocated_cross_stamp_equals_fresh_establish() {
+        let snap = |rack: &PhotonicRack| -> String {
+            let mut w = desim::SnapWriter::new();
+            rack.fabric.write_snap(&mut w);
+            w.finish()
+        };
+        let mut total = CrossPlanStats::default();
+        for seed in 0..6u64 {
+            let mut rng = desim::SimRng::seed_from_u64(seed);
+            // Narrow bundles so fiber exhaustion and rerouting happen too.
+            let mut fresh = PhotonicRack::with_fiber_capacity(1, 3);
+            let mut planned = PhotonicRack::with_fiber_capacity(1, 3);
+            let mut engine = PlanEngine::new();
+            let mut live: Vec<CrossCircuitId> = Vec::new();
+            let wafers = fresh.fabric.wafer_count();
+            let tile = |rng: &mut desim::SimRng| {
+                TileCoord::new(rng.gen_range_u64(2) as u8, rng.gen_range_u64(2) as u8)
+            };
+            for step in 0..300 {
+                // Few circuits live at a time, so loads often return to
+                // ones a plan was captured under.
+                let roll = rng.gen_range_u64(20);
+                if roll < 9 || live.is_empty() {
+                    let sw = rng.gen_range_usize(wafers);
+                    let dw = (sw + 1 + rng.gen_range_usize(wafers - 1)) % wafers;
+                    let src = (WaferId(sw), tile(&mut rng));
+                    let dst = (WaferId(dw), tile(&mut rng));
+                    let lanes = 1 + rng.gen_range_usize(2);
+                    let a = fresh.fabric.establish_cross(src, dst, lanes);
+                    let b = engine.establish_cross(&mut planned.fabric, src, dst, lanes);
+                    assert_eq!(
+                        format!("{a:?}"),
+                        format!("{b:?}"),
+                        "seed {seed} step {step}: outcomes diverged"
+                    );
+                    if let Ok((id, _)) = a {
+                        live.push(id);
+                    }
+                } else if roll < 19 || live.len() > 6 {
+                    let id = live.swap_remove(rng.gen_range_usize(live.len()));
+                    let a = fresh.fabric.teardown_cross(id);
+                    let b = planned.fabric.teardown_cross(id);
+                    assert_eq!(a, b, "seed {seed} step {step}: teardown diverged");
+                } else {
+                    let w = WaferId(rng.gen_range_usize(wafers));
+                    let t = tile(&mut rng);
+                    fresh.fabric.wafer_mut(w).fail_tile(t);
+                    planned.fabric.wafer_mut(w).fail_tile(t);
+                }
+                assert_eq!(snap(&fresh), snap(&planned), "seed {seed} step {step}");
+            }
+            let st = engine.cross_stats();
+            total.hits += st.hits;
+            total.relocated += st.relocated;
+            total.misses += st.misses;
+            total.fallbacks += st.fallbacks;
+        }
+        assert!(total.relocated > 0, "no stamp was relocated: {total:?}");
+        assert!(total.fallbacks > 0, "no witness ever drifted: {total:?}");
+        assert!(total.hits >= 50, "cache rarely hit: {total:?}");
     }
 
     #[test]

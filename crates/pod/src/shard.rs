@@ -287,12 +287,7 @@ impl ShardDomain {
     /// Healthy, unowned chips — the capacity this domain reports at the
     /// barrier for the next window's delegation decisions.
     pub fn free_chips(&self) -> usize {
-        self.st
-            .rack()
-            .cluster
-            .occupancy()
-            .healthy_free_chips()
-            .len()
+        self.st.rack().cluster.occupancy().healthy_free_count()
     }
 
     /// Local events still pending (scheduled or queued for capacity).

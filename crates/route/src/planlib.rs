@@ -40,14 +40,13 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use desim::fnv::Fnv;
 use phy::link_budget::LinkReport;
 
 use crate::alloc::{allocate_non_overlapping_with, Demand};
 use crate::astar::Searcher;
 use lightpath::{
     CircuitId, CircuitRequest, Dir, EdgeId, EdgeSet, FabricError, Path, RouteFault, TileCoord,
-    Wafer, WaferConfig,
+    Wafer,
 };
 
 /// Default cap on cached plan instances across the whole library (FIFO
@@ -67,32 +66,6 @@ struct PlanKey {
     cfg_sig: u64,
     /// Per demand: local (src row, src col, dst row, dst col, lanes).
     demands: Vec<(u8, u8, u8, u8, u16)>,
-}
-
-/// FNV-1a digest of every config field the batch router or link budget
-/// reads. Two wafers with equal signatures fabricate identical stitch maps
-/// (same `fab_seed`), so one template serves all of them.
-fn config_signature(cfg: &WaferConfig) -> u64 {
-    let mut h = Fnv::new();
-    h.write_u64(cfg.rows as u64)
-        .write_u64(cfg.cols as u64)
-        .write_f64(cfg.tile_pitch_cm)
-        .write_u64(cfg.waveguides_per_edge as u64)
-        .write_u64(cfg.fibers_per_edge_tile as u64)
-        .write_u64(cfg.wdm.channels as u64)
-        .write_f64(cfg.wdm.start_nm)
-        .write_f64(cfg.wdm.spacing_nm)
-        .write_f64(cfg.wdm.rate.0)
-        .write_f64(cfg.mzi.insertion_loss_db)
-        .write_f64(cfg.stitch.mode_radius_um)
-        .write_f64(cfg.stitch.overlay_sigma_um)
-        .write_f64(cfg.stitch.base_loss_db)
-        .write_f64(cfg.propagation_loss_db_per_cm)
-        .write_u64(cfg.crossings_per_through_tile as u64)
-        .write_u64(cfg.crossings_per_turn as u64)
-        .write_f64(cfg.crosstalk_per_cochannel_db)
-        .write_u64(cfg.fab_seed);
-    h.finish()
 }
 
 /// A relocatable plan: canonical local-coordinate paths plus the
@@ -256,7 +229,7 @@ impl PlanLibrary {
         }
         let origin = (min_r, min_c);
         let key = PlanKey {
-            cfg_sig: config_signature(cfg),
+            cfg_sig: cfg.signature(),
             demands: demands
                 .iter()
                 .map(|d| {

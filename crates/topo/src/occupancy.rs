@@ -80,6 +80,16 @@ impl Occupancy {
             .collect()
     }
 
+    /// Number of [`healthy_free_chips`](Self::healthy_free_chips), counted
+    /// without collecting their coordinates.
+    pub fn healthy_free_count(&self) -> usize {
+        self.owner
+            .iter()
+            .zip(&self.failed)
+            .filter(|&(owner, &failed)| owner.is_none() && !failed)
+            .count()
+    }
+
     /// Place a slice at its stated origin. All-or-nothing.
     pub fn place(&mut self, slice: Slice) -> Result<(), PlaceError> {
         if self.slices.contains_key(&slice.id) {
@@ -258,6 +268,21 @@ mod tests {
         occ.remove(SliceId(1)).unwrap();
         assert_eq!(occ.free_chips().len(), 64);
         assert!(occ.remove(SliceId(1)).is_none());
+    }
+
+    #[test]
+    fn healthy_free_count_matches_the_collected_chips() {
+        let mut occ = rack();
+        assert_eq!(occ.healthy_free_count(), 64);
+        occ.place(Slice::new(1, Coord3::new(0, 0, 0), Shape3::new(4, 2, 1)))
+            .unwrap();
+        // One failed chip inside the slice, one outside it.
+        occ.fail_chip(Coord3::new(0, 0, 0));
+        occ.fail_chip(Coord3::new(3, 3, 3));
+        assert_eq!(occ.healthy_free_count(), occ.healthy_free_chips().len());
+        assert_eq!(occ.healthy_free_count(), 64 - 8 - 1);
+        occ.restore_chip(Coord3::new(3, 3, 3));
+        assert_eq!(occ.healthy_free_count(), 64 - 8);
     }
 
     #[test]
