@@ -1005,18 +1005,18 @@ impl Fabric {
             };
             let src = coord(r, "src_wafer", "src_row", "src_col")?;
             let dst = coord(r, "dst_wafer", "dst_row", "dst_col")?;
-            let hops = r.u64("fiber_hops")? as usize;
-            let mut fibers = Vec::with_capacity(hops);
-            for _ in 0..hops {
+            // Lists grow by push: a forged count fails on the missing
+            // entries instead of reserving memory up front.
+            let mut fibers = Vec::new();
+            for _ in 0..r.u64("fiber_hops")? {
                 let fi = r.u64("fiber")? as usize;
                 if fi >= self.fibers.len() {
                     return Err(format!("fabric restore: fiber index {fi} out of range"));
                 }
                 fibers.push(fi);
             }
-            let nseg = r.u64("segments")? as usize;
-            let mut segments = Vec::with_capacity(nseg);
-            for _ in 0..nseg {
+            let mut segments = Vec::new();
+            for _ in 0..r.u64("segments")? {
                 let wid = r.u64("seg_wafer")? as usize;
                 if wid >= self.wafers.len() {
                     return Err(format!("fabric restore: segment wafer {wid} out of range"));

@@ -45,6 +45,7 @@
 mod engine;
 pub mod epoch;
 pub mod fnv;
+pub mod json;
 mod ord;
 mod quantile;
 mod rng;

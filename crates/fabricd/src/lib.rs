@@ -6,9 +6,11 @@
 //! spliced out with a 1-server blast radius. This crate is the daemon that
 //! exercises those claims end to end:
 //!
-//! - **Admission** ([`state`], [`ctrl`]): Poisson job arrivals from
-//!   [`workloads`] are placed with the best-fit slice allocator and queued
-//!   (with timeout) when the fabric is full.
+//! - **Admission** ([`state`], [`domain`]): jobs are placed with the
+//!   best-fit slice allocator and queued (with timeout) when the fabric is
+//!   full. [`domain`] is the one event loop every control domain runs —
+//!   the [`ctrl`] campaign (Poisson arrivals from [`workloads`]) and each
+//!   `pod` shard alike.
 //! - **Circuit programming** ([`plan`]): an admitted slice's ring
 //!   collective becomes per-wafer atomic edge-disjoint batches plus
 //!   cross-wafer fiber circuits, committed all-or-nothing.
@@ -29,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod ctrl;
+pub mod domain;
 pub mod journal;
 pub mod metrics;
 pub mod plan;
@@ -40,6 +43,7 @@ pub use ctrl::{
     resume_campaign, run_campaign, run_scenario, CampaignOptions, CampaignOutcome, CtrlConfig,
     CtrlOutcome, CtrlSnapshot,
 };
+pub use domain::{last_programmed, Domain, DomainEvent, DomainSnapshot, Queued, LEG_ID_BIT};
 pub use journal::{DenyReason, Journal, JournalEntry, JournalHeader, Record, StitchLegRecord};
 pub use metrics::{Metrics, RouteTelemetry};
 pub use plan::{

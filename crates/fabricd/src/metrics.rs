@@ -387,9 +387,10 @@ impl Metrics {
         }
         let lo = r.f64("wait_lo")?;
         let hi = r.f64("wait_hi")?;
-        let nbins = r.u64("wait_bins")? as usize;
-        let mut bins = Vec::with_capacity(nbins);
-        for _ in 0..nbins {
+        // Lists grow by push: a forged count fails on the missing entries
+        // instead of reserving memory up front.
+        let mut bins = Vec::new();
+        for _ in 0..r.u64("wait_bins")? {
             bins.push(r.u64("bin")?);
         }
         let underflow = r.u64("wait_under")?;
@@ -403,9 +404,8 @@ impl Metrics {
         );
         let admission_wait = Histogram::from_raw(lo, hi, bins, underflow, overflow, stats)?;
         let mut read_series = |key: &str| -> Result<TimeSeries, String> {
-            let n = r.u64(key)? as usize;
-            let mut points = Vec::with_capacity(n);
-            for _ in 0..n {
+            let mut points = Vec::new();
+            for _ in 0..r.u64(key)? {
                 points.push((r.f64("t")?, r.f64("v")?));
             }
             TimeSeries::from_points(points)
@@ -652,5 +652,19 @@ mod tests {
         let pts = circuits.points();
         assert_eq!(pts[0].1, 0.0);
         assert!(pts[1].1 > 0.0);
+    }
+
+    #[test]
+    fn forged_list_counts_are_errors_not_panics() {
+        let mut w = SnapWriter::new();
+        Metrics::new().write_snap(&mut w);
+        let text = w.finish();
+        for key in ["wait_bins", "occupancy"] {
+            let forged = crate::domain::tests::forge_count(&text, key);
+            assert!(
+                Metrics::read_snap(&mut SnapReader::new(&forged)).is_err(),
+                "forged {key} count decoded"
+            );
+        }
     }
 }

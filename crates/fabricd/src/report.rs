@@ -17,6 +17,7 @@
 
 use crate::ctrl::{run_campaign, CampaignOptions, CtrlConfig};
 use crate::state::{replay, replay_from};
+use desim::json::{json_f64, json_str, json_u64};
 use desim::SimDuration;
 
 /// Throughput may not drop below this fraction of the baseline (and
@@ -263,45 +264,6 @@ pub fn compare_ctrl_baseline(current: &CtrlBenchReport, baseline: &CtrlBenchRepo
         }
     }
     failures
-}
-
-// ------------------------------------------------- tiny JSON extraction --
-// Index-free (slice-by-get): fabricd is pinned at zero detlint findings.
-
-/// The raw text after `"key":`, up to the value's end (`,`, `}` or EOL).
-fn json_raw<'a>(text: &'a str, key: &str) -> Result<&'a str, String> {
-    let needle = format!("\"{key}\"");
-    let at = text
-        .find(&needle)
-        .ok_or_else(|| format!("missing key \"{key}\""))?;
-    let rest = text.get(at + needle.len()..).unwrap_or_default();
-    let rest = rest
-        .trim_start()
-        .strip_prefix(':')
-        .ok_or_else(|| format!("no ':' after \"{key}\""))?
-        .trim_start();
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    Ok(rest.get(..end).unwrap_or(rest).trim())
-}
-
-fn json_str(text: &str, key: &str) -> Result<String, String> {
-    let raw = json_raw(text, key)?;
-    raw.strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .map(str::to_string)
-        .ok_or_else(|| format!("\"{key}\" is not a string: {raw}"))
-}
-
-fn json_u64(text: &str, key: &str) -> Result<u64, String> {
-    let raw = json_raw(text, key)?;
-    raw.parse()
-        .map_err(|_| format!("\"{key}\" is not a u64: {raw}"))
-}
-
-fn json_f64(text: &str, key: &str) -> Result<f64, String> {
-    let raw = json_raw(text, key)?;
-    raw.parse()
-        .map_err(|_| format!("\"{key}\" is not an f64: {raw}"))
 }
 
 #[cfg(test)]

@@ -292,4 +292,22 @@ mod tests {
         let delta2 = replay_from(&snap, &compacted).expect("delta replay, compacted");
         assert_eq!(delta2.fingerprint(), live.fingerprint());
     }
+
+    #[test]
+    fn forged_list_counts_are_errors_not_panics() {
+        let mut st = busy_state();
+        let snap = st.capture_snapshot(SimTime::from_ps(1 << 40));
+        for key in ["handles", "spares", "fiber_hops", "segments"] {
+            // A re-signed state whose list count is forged: header and
+            // fingerprint verify, so only the decoder stands in the way.
+            let state = crate::domain::tests::forge_count(&snap.state, key);
+            let forged = FabricSnapshot {
+                fingerprint: desim::snap::fingerprint(&state),
+                state,
+                ..snap.clone()
+            };
+            let parsed = FabricSnapshot::parse(&forged.to_text()).expect("valid artifact");
+            assert!(parsed.restore().is_err(), "forged {key} count restored");
+        }
+    }
 }

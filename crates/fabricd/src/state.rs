@@ -443,9 +443,10 @@ impl FabricState {
             let ex = r.u64("ex")? as usize;
             let ey = r.u64("ey")? as usize;
             let ez = r.u64("ez")? as usize;
-            let nh = r.u64("handles")? as usize;
-            let mut handles = Vec::with_capacity(nh);
-            for _ in 0..nh {
+            // Lists grow by push: a forged count fails on the missing
+            // entries instead of reserving memory up front.
+            let mut handles = Vec::new();
+            for _ in 0..r.u64("handles")? {
                 match r.u64("kind")? {
                     0 => handles.push(FabricCircuit::Wafer(
                         WaferId(r.u64("wafer")? as usize),
@@ -457,9 +458,8 @@ impl FabricState {
                     k => return Err(format!("state restore: bad handle kind {k}")),
                 }
             }
-            let ns = r.u64("spares")? as usize;
-            let mut spares = Vec::with_capacity(ns);
-            for _ in 0..ns {
+            let mut spares = Vec::new();
+            for _ in 0..r.u64("spares")? {
                 let x = r.u64("x")? as usize;
                 let y = r.u64("y")? as usize;
                 let z = r.u64("z")? as usize;

@@ -847,7 +847,7 @@ pub fn resume_pod(
 }
 
 /// First line of the pod snapshot artifact.
-const POD_SNAP_MAGIC: &str = "spsim-pod-snapshot v1";
+const POD_SNAP_MAGIC: &str = "spsim-pod-snapshot v2";
 
 /// A consistent capture of a whole pod run at an epoch barrier: one
 /// [`ShardSnapshot`] per rack-group domain plus the pod-level control
@@ -984,8 +984,10 @@ impl PodSnapshot {
         let delegations = r.u64("delegations")?;
         let next_job = r.u64("next_job")? as usize;
         let next_fail = r.u64("next_fail")? as usize;
-        let groups = r.u64("groups")? as usize;
-        let mut free_est = Vec::with_capacity(groups);
+        // Lists grow by push: a forged count fails on the missing entries
+        // instead of reserving memory up front.
+        let groups = r.u64("groups")?;
+        let mut free_est = Vec::new();
         for _ in 0..groups {
             free_est.push(r.u64("free")? as usize);
         }
@@ -1014,10 +1016,10 @@ impl PodSnapshot {
                     .ok_or_else(|| format!("pod snapshot: unknown policy tag {tag}"))?
             },
         };
-        let mut domains = Vec::with_capacity(groups);
+        let mut domains = Vec::new();
         for g in 0..groups {
             let d = ShardSnapshot::read_snap(&mut r)?;
-            if d.group as usize != g {
+            if u64::from(d.group) != g {
                 return Err(format!(
                     "pod snapshot: domain capture {g} claims group {}",
                     d.group
@@ -1374,5 +1376,32 @@ mod tests {
             PodSnapshot::parse(truncated).is_err(),
             "truncation detected"
         );
+    }
+
+    #[test]
+    fn forged_group_count_is_an_error_not_a_panic() {
+        let out = run_pod_with(
+            &small(),
+            1,
+            &PodOptions {
+                snapshot_every: 2,
+                ..PodOptions::default()
+            },
+        )
+        .expect("runs");
+        let text = out.snapshots.first().expect("snapshot").to_text();
+        let (_, body) = text.split_once('\n').expect("header line");
+        let body = body.replacen(
+            &format!("\ngroups={}\n", out.groups),
+            &format!("\ngroups={}\n", u64::MAX),
+            1,
+        );
+        assert!(
+            body.contains(&format!("groups={}", u64::MAX)),
+            "count forged"
+        );
+        let fnv = desim::snap::fingerprint(&body);
+        let forged = format!("{POD_SNAP_MAGIC} fnv={fnv:016x}\n{body}");
+        assert!(PodSnapshot::parse(&forged).is_err());
     }
 }

@@ -26,10 +26,10 @@
 
 use topo::{Dim, Shape3};
 
-/// High bit of every stitch-leg slice id. Leg ids live in this
-/// namespace (`LEG_ID_BIT | job << 4 | leg_index`) so they can never
-/// collide with trace job ids in the journal or the occupancy map.
-pub const LEG_ID_BIT: u32 = 0x8000_0000;
+/// High bit of every stitch-leg slice id: fabricd's job-id namespace for
+/// legs (`LEG_ID_BIT | job << 4 | leg_index`), which can never collide
+/// with trace job ids in the journal or the occupancy map.
+pub use fabricd::LEG_ID_BIT;
 
 /// Which placement policy the pod control plane delegates with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
