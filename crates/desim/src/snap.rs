@@ -21,47 +21,88 @@
 //! snapshot file degrades into a diagnosable restore error, not a crash.
 
 use crate::fnv::Fnv;
-use std::fmt::Write;
 
-/// Builds a canonical snapshot string and its fingerprint.
-#[derive(Debug, Default)]
+/// Builds a canonical snapshot string and its fingerprint in one pass:
+/// every byte is folded into a running FNV-1a at the moment it is
+/// appended, so [`fingerprint`](Self::fingerprint) is O(1).
+///
+/// A [`digest_only`](Self::digest_only) writer folds the same bytes but
+/// keeps no text, for callers that need the fingerprint of a state and
+/// never its encoding.
+#[derive(Debug)]
 pub struct SnapWriter {
-    buf: String,
+    /// The text written so far; `None` in digest-only mode.
+    text: Option<String>,
+    fnv: Fnv,
+}
+
+impl Default for SnapWriter {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SnapWriter {
     /// An empty snapshot.
     pub fn new() -> Self {
-        SnapWriter { buf: String::new() }
+        SnapWriter {
+            text: Some(String::new()),
+            fnv: Fnv::new(),
+        }
+    }
+
+    /// A writer that folds every byte into the fingerprint and keeps no
+    /// text: its [`fingerprint`](Self::fingerprint) equals that of a
+    /// [`new`](Self::new) writer fed the same calls, and its
+    /// [`finish`](Self::finish) is empty.
+    pub fn digest_only() -> Self {
+        SnapWriter {
+            text: None,
+            fnv: Fnv::new(),
+        }
     }
 
     /// Start a `[name]` section. Names must not contain `]` or newlines;
     /// offending characters are escaped like string values so the line
     /// structure survives arbitrary input.
     pub fn section(&mut self, name: &str) {
-        self.buf.push('[');
-        push_escaped(&mut self.buf, name);
-        self.buf.push_str("]\n");
+        self.put("[");
+        self.escaped(name);
+        self.put("]\n");
     }
 
     /// Write `key=<decimal u64>`.
     pub fn u64(&mut self, key: &str, v: u64) {
-        self.key(key);
-        // Formatting into a `String` cannot fail.
-        let _ = writeln!(self.buf, "{v}");
+        self.escaped(key);
+        self.decimal(false, v);
     }
 
     /// Write `key=<decimal i64>`.
     pub fn i64(&mut self, key: &str, v: i64) {
-        self.key(key);
-        let _ = writeln!(self.buf, "{v}");
+        self.escaped(key);
+        self.decimal(v < 0, v.unsigned_abs());
     }
 
     /// Write an `f64` as its exact bit pattern (`{:016x}`), so restore is
     /// bit-identical and no decimal rounding can perturb a fingerprint.
     pub fn f64(&mut self, key: &str, v: f64) {
-        self.key(key);
-        let _ = writeln!(self.buf, "{:016x}", v.to_bits());
+        self.escaped(key);
+        let bits = v.to_bits();
+        // `=`, sixteen hex digits, newline.
+        let mut tail = [b'\n'; 18];
+        let mut bytes = tail.iter_mut();
+        if let Some(eq) = bytes.next() {
+            *eq = b'=';
+        }
+        for (slot, shift) in bytes.zip((0..16).rev()) {
+            let nibble = ((bits >> (4 * shift)) & 0xf) as u8;
+            *slot = if nibble < 10 {
+                b'0' + nibble
+            } else {
+                b'a' + nibble - 10
+            };
+        }
+        self.put_ascii(&tail);
     }
 
     /// Write a bool as `0`/`1`.
@@ -72,49 +113,88 @@ impl SnapWriter {
     /// Write a string with `\\`, `\n`, `\r` escaped so values stay on one
     /// line and decode losslessly.
     pub fn str(&mut self, key: &str, v: &str) {
-        self.key(key);
-        push_escaped(&mut self.buf, v);
-        self.buf.push('\n');
+        self.escaped(key);
+        self.put("=");
+        self.escaped(v);
+        self.put("\n");
     }
 
     /// FNV-1a fingerprint of the bytes written so far.
     pub fn fingerprint(&self) -> u64 {
-        Fnv::new().write_bytes(self.buf.as_bytes()).finish()
+        self.fnv.finish()
     }
 
-    /// The canonical snapshot text.
+    /// The canonical snapshot text (empty for a digest-only writer).
     pub fn finish(self) -> String {
-        self.buf
+        self.text.unwrap_or_default()
     }
 
-    fn key(&mut self, key: &str) {
-        push_escaped(&mut self.buf, key);
-        self.buf.push('=');
+    /// Append `s` verbatim.
+    fn put(&mut self, s: &str) {
+        self.fnv.write_bytes(s.as_bytes());
+        if let Some(text) = &mut self.text {
+            text.push_str(s);
+        }
     }
-}
 
-fn push_escaped(buf: &mut String, s: &str) {
-    // Copy the runs between escapable bytes in one go. Every escaped
-    // character is ASCII, so the offsets a byte scan finds are char
-    // boundaries.
-    let mut rest = s;
-    while let Some(i) = rest
-        .bytes()
-        .position(|b| matches!(b, b'\\' | b'\n' | b'\r' | b']' | b'='))
-    {
-        let (run, tail) = rest.split_at(i);
-        buf.push_str(run);
-        let (special, tail) = tail.split_at(1);
-        buf.push_str(match special {
-            "\\" => "\\\\",
-            "\n" => "\\n",
-            "\r" => "\\r",
-            "]" => "\\b",
-            _ => "\\e",
-        });
-        rest = tail;
+    /// Append ASCII bytes. Each byte is pushed as the `char` it encodes,
+    /// which is one UTF-8 byte only for ASCII, so callers pass nothing else.
+    fn put_ascii(&mut self, bytes: &[u8]) {
+        self.fnv.write_bytes(bytes);
+        if let Some(text) = &mut self.text {
+            text.extend(bytes.iter().map(|&b| char::from(b)));
+        }
     }
-    buf.push_str(rest);
+
+    /// Append `=`, `v` in decimal (after a `-` when `negative`) and the
+    /// newline, without `core::fmt`.
+    fn decimal(&mut self, negative: bool, mut v: u64) {
+        // `=`, `-`, the 20 digits of u64::MAX, newline.
+        const MAX: usize = 23;
+        let mut tail = [b'\n'; MAX];
+        let digits = v.checked_ilog10().map_or(1, |d| d as usize + 1);
+        let used = 2 + usize::from(negative) + digits;
+        let (_, line) = tail.split_at_mut(MAX - used);
+        let mut bytes = line.iter_mut();
+        if let Some(eq) = bytes.next() {
+            *eq = b'=';
+        }
+        if negative {
+            if let Some(sign) = bytes.next() {
+                *sign = b'-';
+            }
+        }
+        for slot in bytes.rev().skip(1) {
+            *slot = b'0' + (v % 10) as u8;
+            v /= 10;
+        }
+        self.put_ascii(line);
+    }
+
+    /// Append `s` with `\\`, `\n`, `\r`, `]` and `=` escaped.
+    fn escaped(&mut self, s: &str) {
+        // Copy the runs between escapable bytes in one go. Every escaped
+        // character is ASCII, so the offsets a byte scan finds are char
+        // boundaries.
+        let mut rest = s;
+        while let Some(i) = rest
+            .bytes()
+            .position(|b| matches!(b, b'\\' | b'\n' | b'\r' | b']' | b'='))
+        {
+            let (run, tail) = rest.split_at(i);
+            self.put(run);
+            let (special, tail) = tail.split_at(1);
+            self.put(match special {
+                "\\" => "\\\\",
+                "\n" => "\\n",
+                "\r" => "\\r",
+                "]" => "\\b",
+                _ => "\\e",
+            });
+            rest = tail;
+        }
+        self.put(rest);
+    }
 }
 
 fn unescape(s: &str) -> Result<String, String> {
@@ -380,6 +460,127 @@ mod tests {
         r2.section("s").expect("section");
         r2.u64("a").expect("a");
         assert!(r2.done().is_err());
+    }
+
+    /// One writer call, replayed identically into each writer under test.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Section(&'static str),
+        U64(&'static str, u64),
+        I64(&'static str, i64),
+        F64(&'static str, u64),
+        Bool(&'static str, bool),
+        Str(&'static str, &'static str),
+    }
+
+    fn apply(w: &mut SnapWriter, ops: &[Op]) {
+        for &op in ops {
+            match op {
+                Op::Section(n) => w.section(n),
+                Op::U64(k, v) => w.u64(k, v),
+                Op::I64(k, v) => w.i64(k, v),
+                Op::F64(k, bits) => w.f64(k, f64::from_bits(bits)),
+                Op::Bool(k, v) => w.bool(k, v),
+                Op::Str(k, v) => w.str(k, v),
+            }
+        }
+    }
+
+    /// The encoding spelled out with `core::fmt` and `str::replace`,
+    /// independent of the writer's own escaping and digit loops.
+    fn reference(ops: &[Op]) -> String {
+        let esc = |s: &str| {
+            s.replace('\\', "\\\\")
+                .replace('\n', "\\n")
+                .replace('\r', "\\r")
+                .replace(']', "\\b")
+                .replace('=', "\\e")
+        };
+        let mut out = String::new();
+        for &op in ops {
+            out.push_str(&match op {
+                Op::Section(n) => format!("[{}]\n", esc(n)),
+                Op::U64(k, v) => format!("{}={v}\n", esc(k)),
+                Op::I64(k, v) => format!("{}={v}\n", esc(k)),
+                Op::F64(k, bits) => format!("{}={bits:016x}\n", esc(k)),
+                Op::Bool(k, v) => format!("{}={}\n", esc(k), u8::from(v)),
+                Op::Str(k, v) => format!("{}={}\n", esc(k), esc(v)),
+            });
+        }
+        out
+    }
+
+    #[test]
+    fn one_pass_fingerprint_agrees_in_both_writer_modes() {
+        const KEYS: [&str; 7] = ["k", "a=b", "x]y", "back\\slash", "nl\ncr\r", "clé", ""];
+        const STRS: [&str; 8] = [
+            "",
+            "plain",
+            "é=ü\nß",
+            "\\]=\r\n",
+            "日本語",
+            "tail\\",
+            "🙂=🙃",
+            "]]==",
+        ];
+        const U64S: [u64; 8] = [0, 1, 9, 10, 99, 100, u64::MAX - 1, u64::MAX];
+        const I64S: [i64; 7] = [0, -1, 1, -10, i64::MIN, i64::MIN + 1, i64::MAX];
+        const F64_BITS: [u64; 11] = [
+            0x0000_0000_0000_0000, // +0
+            0x8000_0000_0000_0000, // -0
+            0x7ff8_0000_0000_0000, // quiet NaN
+            0x7ff0_0000_0000_0001, // signalling NaN
+            0xffff_ffff_ffff_ffff, // NaN, every bit set
+            0x7ff0_0000_0000_0000, // +inf
+            0xfff0_0000_0000_0000, // -inf
+            0x0000_0000_0000_0001, // smallest subnormal
+            0x800f_ffff_ffff_ffff, // largest negative subnormal
+            0x0010_0000_0000_0000, // MIN_POSITIVE
+            0x3ff0_0000_0000_0000, // 1.0
+        ];
+        let mut rng = crate::SimRng::seed_from_u64(0x5eed_0014);
+        for case in 0..400 {
+            let mut ops = Vec::new();
+            for _ in 0..rng.gen_range_usize(48) {
+                let key = *rng.choose(&KEYS);
+                let value = *rng.choose(&STRS);
+                // Half the numbers are edge values, half random of random width.
+                let edge = rng.gen_bool(0.5);
+                let wide = rng.next_u64() >> rng.gen_range_u64(64);
+                ops.push(match rng.gen_range_u64(6) {
+                    0 => Op::Section(key),
+                    1 => Op::U64(key, if edge { *rng.choose(&U64S) } else { wide }),
+                    2 => Op::I64(
+                        key,
+                        if edge {
+                            *rng.choose(&I64S)
+                        } else {
+                            wide as i64
+                        },
+                    ),
+                    3 => Op::F64(
+                        key,
+                        if edge {
+                            *rng.choose(&F64_BITS)
+                        } else {
+                            rng.next_u64()
+                        },
+                    ),
+                    4 => Op::Bool(key, rng.gen_bool(0.5)),
+                    _ => Op::Str(key, value),
+                });
+            }
+            let mut text = SnapWriter::new();
+            apply(&mut text, &ops);
+            let mut digest = SnapWriter::digest_only();
+            apply(&mut digest, &ops);
+            let fp = text.fingerprint();
+            let out = text.finish();
+            assert_eq!(out, reference(&ops), "case {case}: {ops:?}");
+            assert_eq!(fp, fingerprint(&out), "case {case}: running fold");
+            assert_eq!(digest.fingerprint(), fp, "case {case}: digest-only");
+            assert!(digest.finish().is_empty(), "digest-only keeps no text");
+        }
     }
 
     #[test]

@@ -304,8 +304,8 @@ impl DomainSnapshot {
         let mut w = SnapWriter::new();
         w.section("campaign");
         self.write_snap(&mut w);
+        let fnv = w.fingerprint();
         let body = w.finish();
-        let fnv = desim::snap::fingerprint(&body);
         format!("{CTRL_MAGIC} fnv={fnv:016x}\n{body}")
     }
 

@@ -213,6 +213,50 @@ mod tests {
     }
 
     #[test]
+    fn every_fingerprint_path_agrees_on_a_busy_state() {
+        // Slices spanning servers carry cross-wafer circuits; two failures
+        // leave incidents with repairs and jobs holding reserved spares. A
+        // pending rollback exists only between a replayed `Reject` and its
+        // `Rollback`, so no live state can carry one.
+        let mut st = FabricState::new(2, 2, 11);
+        let mut t = SimTime::ZERO;
+        for (job, dims) in [
+            (0u32, (4, 2, 1)),
+            (1, (2, 2, 1)),
+            (2, (4, 2, 2)),
+            (3, (2, 1, 1)),
+        ] {
+            t += SimDuration::from_secs(1);
+            let shape = Shape3::new(dims.0, dims.1, dims.2);
+            assert!(matches!(
+                st.admit(t, job, shape),
+                Admission::Admitted { .. }
+            ));
+        }
+        for _ in 0..2 {
+            t += SimDuration::from_secs(1);
+            assert!(st.inject_failure(t).is_some());
+        }
+        t += SimDuration::from_secs(1);
+        st.evict(t, 1);
+        assert!(st.incidents().iter().any(|i| i.repair.is_some()));
+
+        let snap = st.capture_snapshot(t);
+        assert!(
+            snap.state.contains("\nkind=1\n"),
+            "a cross-wafer circuit is live"
+        );
+        assert!(
+            !snap.state.contains("[reserved]\ncount=0\n"),
+            "a spare is reserved"
+        );
+        let fp = st.fingerprint();
+        assert_eq!(snap.fingerprint, fp);
+        assert_eq!(desim::snap::fingerprint(&snap.state), fp);
+        assert_eq!(snap.restore().expect("restore").fingerprint(), fp);
+    }
+
+    #[test]
     fn resumed_run_matches_uninterrupted_run() {
         // Uninterrupted: campaign, snapshot mid-way, more work.
         let mut full = busy_state();

@@ -208,7 +208,7 @@ impl FabricState {
     /// the live state it reproduces — and so is the routing scratch
     /// (semantically stateless).
     pub fn fingerprint(&self) -> u64 {
-        let mut w = SnapWriter::new();
+        let mut w = SnapWriter::digest_only();
         self.write_state(&mut w);
         w.fingerprint()
     }

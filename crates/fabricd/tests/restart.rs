@@ -9,9 +9,14 @@
 //! 2. Crashing a campaign at an arbitrary event and restarting from the
 //!    last snapshot yields a final state bit-identical to the
 //!    uninterrupted run's.
+//! 3. A mutated snapshot artifact is rejected or resumes to that same
+//!    state; it never panics and never resumes to a different one.
 
 use desim::SimDuration;
-use fabricd::{replay, replay_from, resume_campaign, run_campaign, CampaignOptions, CtrlConfig};
+use fabricd::{
+    replay, replay_from, resume_campaign, run_campaign, CampaignOptions, CampaignOutcome,
+    CtrlConfig, CtrlSnapshot,
+};
 use proptest::prelude::*;
 use workloads::ArrivalParams;
 
@@ -132,4 +137,100 @@ proptest! {
             prop_assert_eq!(crashed.state.fingerprint(), full.state.fingerprint());
         }
     }
+}
+
+/// Outcome of feeding one artifact to `parse` + `resume_campaign`.
+#[derive(Debug, PartialEq, Eq)]
+enum Fate {
+    Rejected,
+    Resumed { fingerprint: u64, journal_hash: u64 },
+}
+
+fn fate_of(out: &CampaignOutcome) -> Fate {
+    Fate::Resumed {
+        fingerprint: out.state.fingerprint(),
+        journal_hash: out.state.journal().hash(),
+    }
+}
+
+fn fate(text: &str, opts: &CampaignOptions) -> Fate {
+    CtrlSnapshot::parse(text)
+        .and_then(|snap| resume_campaign(&snap, opts))
+        .map_or(Fate::Rejected, |out| fate_of(&out))
+}
+
+/// The ctrl-restart benchmark campaign (4 racks, 512 jobs, retries,
+/// failures, snapshots every 600 s) crashed halfway: its last snapshot
+/// artifact is mutated by truncation at every line boundary, a one-bit
+/// flip at a fixed byte stride, and every adjacent-line swap. Each
+/// mutant must be rejected by `parse`/`resume_campaign` or resume to the
+/// uninterrupted run's fingerprint and journal hash — never panic.
+#[test]
+fn mutated_ctrl_artifacts_are_rejected_or_resume_identically() {
+    let cfg = CtrlConfig {
+        racks: 4,
+        jobs: 512,
+        seed: 7,
+        failures: 4,
+        program_retries: 2,
+        arrivals: ArrivalParams {
+            mean_interarrival: SimDuration::from_secs(60),
+            ..ArrivalParams::default()
+        },
+        ..CtrlConfig::default()
+    };
+    let opts = CampaignOptions {
+        snapshot_every: Some(SimDuration::from_secs(600)),
+        compact: true,
+        crash_after_events: None,
+    };
+    let full = run_campaign(&cfg, &opts).expect("uninterrupted run");
+    let crashed = run_campaign(
+        &cfg,
+        &CampaignOptions {
+            crash_after_events: Some(full.events_executed / 2),
+            ..opts
+        },
+    )
+    .expect("crashed run");
+    assert!(crashed.crashed);
+    let text = crashed.snapshots.last().expect("snapshot").to_text();
+    let want = fate_of(&full);
+    assert_eq!(fate(&text, &opts), want, "the unmutated artifact resumes");
+
+    let mut mutants: Vec<(String, String)> = Vec::new();
+    mutants.push(("empty".into(), String::new()));
+    for (i, _) in text.match_indices('\n') {
+        if i + 1 < text.len() {
+            mutants.push((format!("truncated after byte {i}"), text[..=i].to_string()));
+        }
+    }
+    // A bit-0 flip keeps every ASCII byte ASCII, so each mutant is text.
+    const STRIDE: usize = 97;
+    for i in (0..text.len()).step_by(STRIDE) {
+        let mut bytes = text.clone().into_bytes();
+        if bytes[i].is_ascii() {
+            bytes[i] ^= 1;
+            let m = String::from_utf8(bytes).expect("ASCII flip keeps UTF-8");
+            mutants.push((format!("bit flip at byte {i}"), m));
+        }
+    }
+    let lines: Vec<&str> = text.split_inclusive('\n').collect();
+    for i in 0..lines.len().saturating_sub(1) {
+        let mut swapped = lines.clone();
+        swapped.swap(i, i + 1);
+        mutants.push((format!("lines {i} and {} swapped", i + 1), swapped.concat()));
+    }
+    assert!(mutants.len() > 100, "{} mutants", mutants.len());
+
+    let mut rejected = 0;
+    for (what, m) in &mutants {
+        let got = std::panic::catch_unwind(|| fate(m, &opts))
+            .unwrap_or_else(|_| panic!("{what}: parse/resume panicked"));
+        match got {
+            Fate::Rejected => rejected += 1,
+            resumed => assert_eq!(resumed, want, "{what}: resumed to a different state"),
+        }
+    }
+    assert!(rejected > 0);
 }

@@ -895,7 +895,8 @@ pub struct PodSnapshot {
 }
 
 impl PodSnapshot {
-    fn body(&self) -> String {
+    /// Serialize to the integrity-checked artifact format.
+    pub fn to_text(&self) -> String {
         let mut w = SnapWriter::new();
         w.section("pod");
         w.u64("epoch", self.epoch);
@@ -943,13 +944,8 @@ impl PodSnapshot {
         for d in &self.domains {
             d.write_snap(&mut w);
         }
-        w.finish()
-    }
-
-    /// Serialize to the integrity-checked artifact format.
-    pub fn to_text(&self) -> String {
-        let body = self.body();
-        let fnv = desim::snap::fingerprint(&body);
+        let fnv = w.fingerprint();
+        let body = w.finish();
         format!("{POD_SNAP_MAGIC} fnv={fnv:016x}\n{body}")
     }
 
