@@ -42,10 +42,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bench;
 mod engine;
 pub mod epoch;
 pub mod fnv;
-pub mod json;
 mod ord;
 mod quantile;
 mod rng;

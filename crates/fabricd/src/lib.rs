@@ -50,9 +50,7 @@ pub use plan::{
     program, program_counted, program_planned, program_with, ring_plan, CircuitPlan,
     CrossPlanStats, PlanEngine, ProgramFailure,
 };
-pub use report::{
-    bench_config, compare_ctrl_baseline, run_ctrl_bench, CtrlBenchReport, MIN_CTRL_PERF_RATIO,
-};
+pub use report::{bench_config, run_ctrl_bench, CTRL};
 pub use snapshot::FabricSnapshot;
 pub use state::{
     replay, replay_from, Admission, FabricState, IncidentRecord, JobRecord, RepairOutcome,

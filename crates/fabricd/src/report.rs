@@ -1,9 +1,6 @@
-//! `BENCH_ctrl.json`: the committed control-plane benchmark baseline.
-//!
-//! Same contract as `BENCH_pod.json`: no serde in the workspace, so the
-//! report is a flat hand-rolled JSON object plus a tolerant extractor
-//! that reads back exactly what [`CtrlBenchReport::to_json`] writes.
-//! `cargo xtask lint` re-runs the ctrl smoke campaign and gates on it:
+//! `BENCH_ctrl.json`: the committed control-plane benchmark baseline, a
+//! [`CTRL`] record. `cargo xtask lint` re-runs the ctrl smoke campaign and
+//! gates on it:
 //!
 //! * **determinism, exact** — state fingerprint, journal hash, logical
 //!   record count, snapshot count, and the tail-replay record count all
@@ -12,17 +9,13 @@
 //!   [`replay_from`](crate::replay_from) are structurally fewer than a
 //!   full replay's (asserted at bench time, pinned in the baseline);
 //! * **throughput floor** — admissions/sec may not regress below
-//!   [`MIN_CTRL_PERF_RATIO`] × baseline, and tail-replay latency may not
-//!   exceed baseline / [`MIN_CTRL_PERF_RATIO`].
+//!   [`MIN_PERF_RATIO`](desim::bench::MIN_PERF_RATIO) × baseline, and
+//!   tail-replay latency may not exceed baseline / the same ratio.
 
 use crate::ctrl::{run_campaign, CampaignOptions, CtrlConfig};
 use crate::state::{replay, replay_from};
-use desim::json::{json_f64, json_str, json_u64};
+use desim::bench::{BenchRecord, Family, Gate::*, Kind::*, Value};
 use desim::SimDuration;
-
-/// Throughput may not drop below this fraction of the baseline (and
-/// tail-replay latency may not exceed `baseline / ratio`).
-pub const MIN_CTRL_PERF_RATIO: f64 = 0.1;
 
 /// The committed-baseline bench configuration. `cargo xtask lint` and
 /// `spsim ctrl --campaign --write-baseline` must drive the *same*
@@ -40,37 +33,28 @@ pub fn bench_config() -> (CtrlConfig, SimDuration) {
     )
 }
 
-/// The control-plane benchmark summary that is serialized, committed,
-/// and gated on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CtrlBenchReport {
-    /// Jobs in the campaign's arrival trace.
-    pub jobs: u64,
-    /// Snapshot cadence in simulated seconds.
-    pub snapshot_every_s: u64,
-    /// Snapshots captured over the campaign.
-    pub snapshots: u64,
-    /// Final state fingerprint, hex with 0x prefix.
-    pub fingerprint: String,
-    /// Journal hash, hex with 0x prefix.
-    pub journal_hash: String,
-    /// Logical journal records (compaction-invariant).
-    pub journal_records: u64,
-    /// Jobs admitted over the campaign.
-    pub admissions: u64,
-    /// Wall-clock seconds of the campaign (informational).
-    pub wall_s: f64,
-    /// Admissions per wall-clock second — the gated throughput.
-    pub admissions_per_sec: f64,
-    /// Records a from-scratch replay folds (the whole journal).
-    pub replay_full_records: u64,
-    /// Records a delta replay folds from the bench snapshot (the tail).
-    pub replay_tail_records: u64,
-    /// Wall-clock milliseconds of the from-scratch replay (informational).
-    pub replay_full_ms: f64,
-    /// Wall-clock milliseconds of the delta replay — the gated latency.
-    pub replay_tail_ms: f64,
-}
+/// The ctrl baseline family: wall-clock figures of the whole campaign and
+/// of the full replay are informational, admissions/sec is floor-gated,
+/// delta-replay latency ceiling-gated, every other key exact.
+pub static CTRL: Family = Family {
+    name: "ctrl",
+    keys: &[
+        ("jobs", U64, Exact),
+        ("snapshot_every_s", U64, Exact),
+        ("snapshots", U64, Exact),
+        ("fingerprint", Str, Exact),
+        ("journal_hash", Str, Exact),
+        ("journal_records", U64, Exact),
+        ("admissions", U64, Exact),
+        ("wall_s", F64, Info),
+        ("admissions_per_sec", F64, Floor),
+        ("replay_full_records", U64, Exact),
+        ("replay_tail_records", U64, Exact),
+        ("replay_full_ms", F64, Info),
+        ("replay_tail_ms", F64, Ceiling),
+    ],
+    same_run: None,
+};
 
 /// Run the ctrl benchmark: drive a snapshotted campaign, then time a
 /// from-scratch replay against a delta replay from a mid-stream snapshot,
@@ -78,7 +62,7 @@ pub struct CtrlBenchReport {
 pub fn run_ctrl_bench(
     cfg: &CtrlConfig,
     snapshot_every: SimDuration,
-) -> Result<CtrlBenchReport, String> {
+) -> Result<BenchRecord, String> {
     // detlint: allow(DET002) — wall-clock feeds throughput/latency
     // telemetry only; every simulated output is a pure function of the
     // config.
@@ -134,206 +118,35 @@ pub fn run_ctrl_bench(
         0.0
     };
 
-    Ok(CtrlBenchReport {
-        jobs: cfg.jobs as u64,
-        snapshot_every_s: snapshot_every.as_ps() / desim::PS_PER_S,
-        snapshots: out.snapshots.len() as u64,
-        fingerprint: format!("{live_fp:#018x}"),
-        journal_hash: format!("{:#018x}", journal.hash()),
-        journal_records: replay_full_records,
-        admissions,
-        wall_s,
-        admissions_per_sec,
-        replay_full_records,
-        replay_tail_records,
-        replay_full_ms,
-        replay_tail_ms,
-    })
-}
-
-impl CtrlBenchReport {
-    /// Serialize to the committed JSON form (stable key order). Floats use
-    /// Rust's shortest round-trip form so `parse(to_json(r)) == r`.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"jobs\": {},\n  \"snapshot_every_s\": {},\n  \"snapshots\": {},\n  \
-             \"fingerprint\": \"{}\",\n  \"journal_hash\": \"{}\",\n  \
-             \"journal_records\": {},\n  \"admissions\": {},\n  \"wall_s\": {},\n  \
-             \"admissions_per_sec\": {},\n  \"replay_full_records\": {},\n  \
-             \"replay_tail_records\": {},\n  \"replay_full_ms\": {},\n  \
-             \"replay_tail_ms\": {}\n}}\n",
-            self.jobs,
-            self.snapshot_every_s,
-            self.snapshots,
-            self.fingerprint,
-            self.journal_hash,
-            self.journal_records,
-            self.admissions,
-            self.wall_s,
-            self.admissions_per_sec,
-            self.replay_full_records,
-            self.replay_tail_records,
-            self.replay_full_ms,
-            self.replay_tail_ms,
-        )
-    }
-
-    /// Parse the JSON form produced by [`to_json`](Self::to_json).
-    pub fn parse(text: &str) -> Result<CtrlBenchReport, String> {
-        Ok(CtrlBenchReport {
-            jobs: json_u64(text, "jobs")?,
-            snapshot_every_s: json_u64(text, "snapshot_every_s")?,
-            snapshots: json_u64(text, "snapshots")?,
-            fingerprint: json_str(text, "fingerprint")?,
-            journal_hash: json_str(text, "journal_hash")?,
-            journal_records: json_u64(text, "journal_records")?,
-            admissions: json_u64(text, "admissions")?,
-            wall_s: json_f64(text, "wall_s")?,
-            admissions_per_sec: json_f64(text, "admissions_per_sec")?,
-            replay_full_records: json_u64(text, "replay_full_records")?,
-            replay_tail_records: json_u64(text, "replay_tail_records")?,
-            replay_full_ms: json_f64(text, "replay_full_ms")?,
-            replay_tail_ms: json_f64(text, "replay_tail_ms")?,
-        })
-    }
-}
-
-/// Compare a fresh run against the committed baseline. Returns one
-/// message per violated gate; empty means the baseline holds. `wall_s`
-/// and the replay wall-clock figures of the *baseline run* are recorded
-/// for context; latency is gated with the same headroom ratio as
-/// throughput.
-pub fn compare_ctrl_baseline(current: &CtrlBenchReport, baseline: &CtrlBenchReport) -> Vec<String> {
-    let mut failures = Vec::new();
-    for (name, cur, base) in [
-        ("jobs", current.jobs, baseline.jobs),
-        (
-            "snapshot_every_s",
-            current.snapshot_every_s,
-            baseline.snapshot_every_s,
-        ),
-        ("snapshots", current.snapshots, baseline.snapshots),
-        (
-            "journal_records",
-            current.journal_records,
-            baseline.journal_records,
-        ),
-        ("admissions", current.admissions, baseline.admissions),
-        (
-            "replay_full_records",
-            current.replay_full_records,
-            baseline.replay_full_records,
-        ),
-        (
-            "replay_tail_records",
-            current.replay_tail_records,
-            baseline.replay_tail_records,
-        ),
-    ] {
-        if cur != base {
-            failures.push(format!("{name} {cur} != baseline {base}"));
-        }
-    }
-    if current.fingerprint != baseline.fingerprint {
-        failures.push(format!(
-            "fingerprint {} != baseline {} — a control-plane output changed; if intended, \
-             regenerate with `spsim ctrl --campaign --write-baseline BENCH_ctrl.json`",
-            current.fingerprint, baseline.fingerprint
-        ));
-    }
-    if current.journal_hash != baseline.journal_hash {
-        failures.push(format!(
-            "journal hash {} != baseline {}",
-            current.journal_hash, baseline.journal_hash
-        ));
-    }
-    let floor = baseline.admissions_per_sec * MIN_CTRL_PERF_RATIO;
-    if current.admissions_per_sec < floor {
-        failures.push(format!(
-            "throughput {:.0} admissions/s is below {:.0} ({}x of baseline {:.0})",
-            current.admissions_per_sec, floor, MIN_CTRL_PERF_RATIO, baseline.admissions_per_sec
-        ));
-    }
-    if baseline.replay_tail_ms > 0.0 {
-        let ceiling = baseline.replay_tail_ms / MIN_CTRL_PERF_RATIO;
-        if current.replay_tail_ms > ceiling {
-            failures.push(format!(
-                "delta-replay latency {:.3} ms exceeds {:.3} ms (baseline {:.3} ms / {})",
-                current.replay_tail_ms, ceiling, baseline.replay_tail_ms, MIN_CTRL_PERF_RATIO
-            ));
-        }
-    }
-    failures
+    Ok(BenchRecord::new(
+        &CTRL,
+        vec![
+            ("jobs", Value::U64(cfg.jobs as u64)),
+            (
+                "snapshot_every_s",
+                Value::U64(snapshot_every.as_ps() / desim::PS_PER_S),
+            ),
+            ("snapshots", Value::U64(out.snapshots.len() as u64)),
+            ("fingerprint", Value::Str(format!("{live_fp:#018x}"))),
+            (
+                "journal_hash",
+                Value::Str(format!("{:#018x}", journal.hash())),
+            ),
+            ("journal_records", Value::U64(replay_full_records)),
+            ("admissions", Value::U64(admissions)),
+            ("wall_s", Value::F64(wall_s)),
+            ("admissions_per_sec", Value::F64(admissions_per_sec)),
+            ("replay_full_records", Value::U64(replay_full_records)),
+            ("replay_tail_records", Value::U64(replay_tail_records)),
+            ("replay_full_ms", Value::F64(replay_full_ms)),
+            ("replay_tail_ms", Value::F64(replay_tail_ms)),
+        ],
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn report() -> CtrlBenchReport {
-        CtrlBenchReport {
-            jobs: 48,
-            snapshot_every_s: 600,
-            snapshots: 9,
-            fingerprint: "0x00000000deadbeef".into(),
-            journal_hash: "0x00000000cafef00d".into(),
-            journal_records: 321,
-            admissions: 44,
-            wall_s: 0.25,
-            admissions_per_sec: 176.0,
-            replay_full_records: 321,
-            replay_tail_records: 17,
-            replay_full_ms: 4.0,
-            replay_tail_ms: 0.5,
-        }
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let r = report();
-        let parsed = match CtrlBenchReport::parse(&r.to_json()) {
-            Ok(p) => p,
-            Err(e) => panic!("parse failed: {e}"),
-        };
-        assert_eq!(parsed, r);
-    }
-
-    #[test]
-    fn parse_rejects_missing_keys() {
-        assert!(CtrlBenchReport::parse("{}").is_err());
-        assert!(CtrlBenchReport::parse("{\"jobs\": 48}").is_err());
-    }
-
-    #[test]
-    fn identical_reports_pass_the_gate() {
-        let r = report();
-        assert!(compare_ctrl_baseline(&r, &r).is_empty());
-    }
-
-    #[test]
-    fn determinism_drift_fails_the_gate() {
-        let baseline = report();
-        let mut current = report();
-        current.fingerprint = "0x0000000000000001".into();
-        current.journal_hash = "0x0000000000000002".into();
-        current.replay_tail_records = 18;
-        let failures = compare_ctrl_baseline(&current, &baseline);
-        assert_eq!(failures.len(), 3, "{failures:?}");
-    }
-
-    #[test]
-    fn slowdown_fails_but_noise_passes() {
-        let baseline = report();
-        let mut slow = report();
-        slow.admissions_per_sec = baseline.admissions_per_sec * 0.05;
-        slow.replay_tail_ms = baseline.replay_tail_ms * 20.0;
-        assert_eq!(compare_ctrl_baseline(&slow, &baseline).len(), 2);
-        let mut noisy = report();
-        noisy.admissions_per_sec = baseline.admissions_per_sec * 0.5;
-        noisy.replay_tail_ms = baseline.replay_tail_ms * 2.0;
-        noisy.wall_s = baseline.wall_s * 3.0;
-        assert!(compare_ctrl_baseline(&noisy, &baseline).is_empty());
-    }
 
     #[test]
     fn bench_runs_and_its_report_round_trips() {
@@ -345,9 +158,12 @@ mod tests {
             Ok(r) => r,
             Err(e) => panic!("bench failed: {e}"),
         };
-        assert!(r.snapshots > 0);
-        assert!(r.replay_tail_records < r.replay_full_records, "O(tail)");
-        let parsed = match CtrlBenchReport::parse(&r.to_json()) {
+        assert!(r.num("snapshots") > 0.0);
+        assert!(
+            r.num("replay_tail_records") < r.num("replay_full_records"),
+            "O(tail)"
+        );
+        let parsed = match BenchRecord::parse(&CTRL, &r.to_json()) {
             Ok(p) => p,
             Err(e) => panic!("parse failed: {e}"),
         };

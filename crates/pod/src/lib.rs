@@ -49,5 +49,5 @@ pub use policy::{
     CapacityView, CrossGroupStitch, FragAwareScored, GreedyBestFit, PlacementDecision,
     PlacementPolicy, PolicyKind, StitchLeg,
 };
-pub use report::{compare_baseline, PodBenchReport, MIN_PERF_RATIO};
+pub use report::{bench_record, POD};
 pub use shard::{PodEvent, ShardDomain, ShardSnapshot};

@@ -7,8 +7,9 @@
 //!    journal records stays inside one rack-group slab — and a seeded
 //!    violation (a forged straddling admit) is caught.
 
+use desim::bench::BenchRecord;
 use desim::SimDuration;
-use pod::{resume_pod, run_pod, run_pod_with, PodBenchReport, PodConfig, PodLayout, PodOptions};
+use pod::{bench_record, resume_pod, run_pod, run_pod_with, PodConfig, PodLayout, PodOptions, POD};
 use proptest::prelude::*;
 use verify::{check_journal, check_shard_containment, Report, RuleId};
 use workloads::ArrivalParams;
@@ -114,19 +115,25 @@ fn forged_straddling_admission_trips_ctl405() {
     assert_eq!(report.by_rule(RuleId::Ctl405).len(), 1);
 }
 
-/// A PodBenchReport built from a real run survives its own JSON.
+/// A pod bench record built from a real run survives its own JSON.
 #[test]
 fn bench_report_round_trips_from_a_real_run() {
     let cfg = fast(256, 11, 20, 2);
     let out = run_pod(&cfg, 2).expect("run");
-    let report = PodBenchReport::from_outcome(&out, cfg.jobs);
-    let parsed = match PodBenchReport::parse(&report.to_json()) {
+    let report = bench_record(&out, cfg.jobs);
+    let parsed = match BenchRecord::parse(&POD, &report.to_json()) {
         Ok(p) => p,
         Err(e) => panic!("round trip failed: {e}"),
     };
     assert_eq!(parsed, report);
-    assert_eq!(parsed.fingerprint, format!("{:#018x}", out.fingerprint));
-    assert_eq!(parsed.journal_hash, format!("{:#018x}", out.journal.hash()));
+    assert_eq!(
+        parsed.text("fingerprint"),
+        format!("{:#018x}", out.fingerprint)
+    );
+    assert_eq!(
+        parsed.text("journal_hash"),
+        format!("{:#018x}", out.journal.hash())
+    );
 }
 
 proptest! {

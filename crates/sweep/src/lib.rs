@@ -14,7 +14,7 @@
 //! * **Deterministic merges** ([`run::MergedStats`]) — per-worker stats
 //!   registries folded in worker order (reporting only, never part of the
 //!   fingerprint).
-//! * **Perf baselines** ([`report::BenchReport`]) — events/sec and speedup
+//! * **Perf baselines** ([`report::SWEEP`]) — events/sec and speedup
 //!   vs 1 worker, compared by `cargo xtask lint` against the committed
 //!   `BENCH_sweep.json` with an exact determinism gate and a tolerant
 //!   throughput gate.
@@ -33,6 +33,6 @@ pub mod run;
 
 pub use fingerprint::{combine, derive_seed, Fnv};
 pub use grid::{CollectiveAlgo, GridSpec, Scenario};
-pub use report::{compare_baseline, outcome_to_json, BenchReport, MIN_PERF_RATIO};
-pub use route_bench::{compare_route_baseline, run_route_bench, RouteBenchReport};
+pub use report::{bench_record, outcome_to_json, SWEEP};
+pub use route_bench::{run_route_bench, ROUTE};
 pub use run::{run_scenario, run_sweep, MergedStats, ScenarioResult, SweepOutcome};

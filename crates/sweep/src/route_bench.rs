@@ -20,7 +20,8 @@
 //! is tolerant: `BENCH_route.json` commits an FNV-1a fingerprint of every
 //! path found (exact-match gated — a routing change that moves a single
 //! hop trips it) plus the measured rates (floor-gated at
-//! [`MIN_PERF_RATIO`](crate::report::MIN_PERF_RATIO)). The stamped phase
+//! [`MIN_PERF_RATIO`](desim::bench::MIN_PERF_RATIO)); see [`ROUTE`]. The
+//! stamped phase
 //! keeps its own fingerprint stream (the legacy fingerprint's bytes are
 //! untouched) which also folds in the plan-library hit/fallback counters
 //! and a stamp-vs-scratch divergence marker, so a stamp that stops
@@ -28,8 +29,7 @@
 //! the rate floor.
 
 use crate::fingerprint::Fnv;
-use crate::report::MIN_PERF_RATIO;
-use desim::json::{json_f64, json_str, json_u64};
+use desim::bench::{BenchRecord, Family, Gate::*, Kind::*, Value};
 use desim::SimRng;
 use fabricd::{program_planned, program_with, ring_plan, PlanEngine};
 use lightpath::{CircuitRequest, TileCoord, Wafer, WaferConfig};
@@ -54,65 +54,39 @@ const SEED: u64 = 0x5eed_0042;
 /// stamp: no A*, no link-budget re-evaluation on the hot path).
 pub const MIN_STAMPED_SPEEDUP: f64 = 10.0;
 
-/// The measured summary that is serialized, committed, and gated on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RouteBenchReport {
-    /// A* searches timed.
-    pub searches: u64,
-    /// Ring-programming cycles timed.
-    pub batches: u64,
-    /// FNV-1a digest of every path found and every batch programmed.
-    pub fingerprint: String,
-    /// Wall-clock seconds of both timed loops.
-    pub wall_s: f64,
-    /// Searches per second on the loaded wafer.
-    pub paths_per_sec: f64,
-    /// Ring plan → program → teardown cycles per second.
-    pub batches_per_sec: f64,
-    /// Warm plan-library programming cycles timed.
-    pub stamped_batches: u64,
-    /// FNV-1a digest of the stamped phase: per-cycle handle counts, the
-    /// plan-library/cross-plan counters, and the scratch-equivalence
-    /// marker. Separate stream — the legacy fingerprint is untouched.
-    pub stamped_fingerprint: String,
-    /// Stamped programming cycles per second through the warm library.
-    pub stamped_plans_per_sec: f64,
-}
+/// The route baseline family: workload sizes and both fingerprints are
+/// exact, the three rates floor-gated, and the same run must show the
+/// plan library's speedup ([`stamped_speedup_holds`]).
+pub static ROUTE: Family = Family {
+    name: "route",
+    keys: &[
+        ("searches", U64, Exact),
+        ("batches", U64, Exact),
+        ("fingerprint", Str, Exact),
+        ("wall_s", F64, Info),
+        ("paths_per_sec", F64, Floor),
+        ("batches_per_sec", F64, Floor),
+        ("stamped_batches", U64, Exact),
+        ("stamped_fingerprint", Str, Exact),
+        ("stamped_plans_per_sec", F64, Floor),
+    ],
+    same_run: Some(stamped_speedup_holds),
+};
 
-impl RouteBenchReport {
-    /// Serialize to the committed JSON form (stable key order).
-    pub fn to_json(&self) -> String {
+/// The same-run speedup gate: stamped plans/sec against the scratch batch
+/// rate from the same process on the same machine, so it is immune to
+/// host-speed skew. Debug builds re-verify stamped == fresh link budgets
+/// inside `establish_prebudgeted` debug_asserts, which erases the speedup
+/// by design — the gate is a release-build property.
+fn stamped_speedup_holds(r: &BenchRecord) -> Option<String> {
+    let (stamped, scratch) = (r.num("stamped_plans_per_sec"), r.num("batches_per_sec"));
+    (!cfg!(debug_assertions) && stamped < MIN_STAMPED_SPEEDUP * scratch).then(|| {
         format!(
-            "{{\n  \"searches\": {},\n  \"batches\": {},\n  \"fingerprint\": \"{}\",\n  \
-             \"wall_s\": {},\n  \"paths_per_sec\": {},\n  \"batches_per_sec\": {},\n  \
-             \"stamped_batches\": {},\n  \"stamped_fingerprint\": \"{}\",\n  \
-             \"stamped_plans_per_sec\": {}\n}}\n",
-            self.searches,
-            self.batches,
-            self.fingerprint,
-            self.wall_s,
-            self.paths_per_sec,
-            self.batches_per_sec,
-            self.stamped_batches,
-            self.stamped_fingerprint,
-            self.stamped_plans_per_sec,
+            "stamped plans/sec {stamped:.0} is below {MIN_STAMPED_SPEEDUP}x the scratch batch \
+             rate {scratch:.0} — the plan library is no longer skipping the search/link-budget \
+             hot path"
         )
-    }
-
-    /// Parse the JSON form produced by [`to_json`](Self::to_json).
-    pub fn parse(text: &str) -> Result<RouteBenchReport, String> {
-        Ok(RouteBenchReport {
-            searches: json_u64(text, "searches")?,
-            batches: json_u64(text, "batches")?,
-            fingerprint: json_str(text, "fingerprint")?,
-            wall_s: json_f64(text, "wall_s")?,
-            paths_per_sec: json_f64(text, "paths_per_sec")?,
-            batches_per_sec: json_f64(text, "batches_per_sec")?,
-            stamped_batches: json_u64(text, "stamped_batches")?,
-            stamped_fingerprint: json_str(text, "stamped_fingerprint")?,
-            stamped_plans_per_sec: json_f64(text, "stamped_plans_per_sec")?,
-        })
-    }
+    })
 }
 
 /// A deterministically loaded 4×8 wafer: `PRELOAD_ATTEMPTS` seeded
@@ -149,7 +123,7 @@ fn endpoint_pool() -> Vec<(TileCoord, TileCoord)> {
 /// `batches` ring-programming cycles. The fingerprint covers every path
 /// and every programmed batch, so it is a pure function of the routing
 /// code — independent of clock speed or how long the loops take.
-pub fn run_route_bench(searches: u64, batches: u64) -> RouteBenchReport {
+pub fn run_route_bench(searches: u64, batches: u64) -> BenchRecord {
     let mut f = Fnv::new();
     f.write_str("route-bench").write_u64(SEED);
 
@@ -260,29 +234,27 @@ pub fn run_route_bench(searches: u64, batches: u64) -> RouteBenchReport {
         .write_u64(cs.misses)
         .write_u64(cs.fallbacks);
 
-    RouteBenchReport {
-        searches,
-        batches,
-        fingerprint: format!("{:#018x}", f.finish()),
-        wall_s: search_wall + batch_wall + stamp_wall,
-        paths_per_sec: if search_wall > 0.0 {
-            searches as f64 / search_wall
-        } else {
-            0.0
-        },
-        batches_per_sec: if batch_wall > 0.0 {
-            batches as f64 / batch_wall
-        } else {
-            0.0
-        },
-        stamped_batches: batches,
-        stamped_fingerprint: format!("{:#018x}", sf.finish()),
-        stamped_plans_per_sec: if stamp_wall > 0.0 {
-            batches as f64 / stamp_wall
-        } else {
-            0.0
-        },
-    }
+    let rate = |n: u64, wall: f64| if wall > 0.0 { n as f64 / wall } else { 0.0 };
+    BenchRecord::new(
+        &ROUTE,
+        vec![
+            ("searches", Value::U64(searches)),
+            ("batches", Value::U64(batches)),
+            ("fingerprint", Value::Str(format!("{:#018x}", f.finish()))),
+            ("wall_s", Value::F64(search_wall + batch_wall + stamp_wall)),
+            ("paths_per_sec", Value::F64(rate(searches, search_wall))),
+            ("batches_per_sec", Value::F64(rate(batches, batch_wall))),
+            ("stamped_batches", Value::U64(batches)),
+            (
+                "stamped_fingerprint",
+                Value::Str(format!("{:#018x}", sf.finish())),
+            ),
+            (
+                "stamped_plans_per_sec",
+                Value::F64(rate(batches, stamp_wall)),
+            ),
+        ],
+    )
 }
 
 /// Byte-exact state snapshot of a rack's fabric (the stamp-vs-scratch
@@ -293,81 +265,6 @@ fn snap(rack: &PhotonicRack) -> String {
     w.finish()
 }
 
-/// Compare a fresh run against the committed baseline. Returns one message
-/// per violated gate; empty means the baseline holds. Fingerprint and
-/// workload sizes are exact gates; both rates are floor-gated.
-pub fn compare_route_baseline(
-    current: &RouteBenchReport,
-    baseline: &RouteBenchReport,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    if current.searches != baseline.searches
-        || current.batches != baseline.batches
-        || current.stamped_batches != baseline.stamped_batches
-    {
-        failures.push(format!(
-            "workload mismatch: ran {}x{}x{}, baseline is {}x{}x{}",
-            current.searches,
-            current.batches,
-            current.stamped_batches,
-            baseline.searches,
-            baseline.batches,
-            baseline.stamped_batches
-        ));
-    }
-    if current.fingerprint != baseline.fingerprint {
-        failures.push(format!(
-            "fingerprint {} != baseline {} — a routing result changed; if intended, \
-             regenerate with `spsim routebench --write-baseline BENCH_route.json`",
-            current.fingerprint, baseline.fingerprint
-        ));
-    }
-    if current.stamped_fingerprint != baseline.stamped_fingerprint {
-        failures.push(format!(
-            "stamped fingerprint {} != baseline {} — a stamped plan diverged from fresh \
-             routing or the library's hit/fallback profile shifted; if intended, \
-             regenerate with `spsim routebench --write-baseline BENCH_route.json`",
-            current.stamped_fingerprint, baseline.stamped_fingerprint
-        ));
-    }
-    for (what, cur, base) in [
-        ("paths/sec", current.paths_per_sec, baseline.paths_per_sec),
-        (
-            "batches/sec",
-            current.batches_per_sec,
-            baseline.batches_per_sec,
-        ),
-        (
-            "stamped plans/sec",
-            current.stamped_plans_per_sec,
-            baseline.stamped_plans_per_sec,
-        ),
-    ] {
-        let floor = base * MIN_PERF_RATIO;
-        if cur < floor {
-            failures.push(format!(
-                "{what} {cur:.0} is below {floor:.0} ({MIN_PERF_RATIO}x of baseline {base:.0})"
-            ));
-        }
-    }
-    // The speedup gate is same-run (stamped vs scratch rate from the same
-    // process on the same machine), so it is immune to host-speed skew.
-    // Debug builds re-verify stamped == fresh link budgets inside
-    // `establish_prebudgeted` debug_asserts, which erases the speedup by
-    // design — the gate is a release-build property.
-    if !cfg!(debug_assertions)
-        && current.stamped_plans_per_sec < MIN_STAMPED_SPEEDUP * current.batches_per_sec
-    {
-        failures.push(format!(
-            "stamped plans/sec {:.0} is below {MIN_STAMPED_SPEEDUP}x the scratch batch \
-             rate {:.0} — the plan library is no longer skipping the search/link-budget \
-             hot path",
-            current.stamped_plans_per_sec, current.batches_per_sec
-        ));
-    }
-    failures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,14 +273,15 @@ mod tests {
     fn fingerprint_is_deterministic_and_rate_independent() {
         let a = run_route_bench(200, 5);
         let b = run_route_bench(200, 5);
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(a.stamped_fingerprint, b.stamped_fingerprint);
-        assert_eq!(a.searches, 200);
-        assert_eq!(a.batches, 5);
-        assert_eq!(a.stamped_batches, 5);
-        assert!(a.paths_per_sec > 0.0);
-        assert!(a.batches_per_sec > 0.0);
-        assert!(a.stamped_plans_per_sec > 0.0);
+        assert_eq!(a.text("fingerprint"), b.text("fingerprint"));
+        assert_eq!(a.text("stamped_fingerprint"), b.text("stamped_fingerprint"));
+        assert_eq!(a.num("searches"), 200.0);
+        assert_eq!(a.num("batches"), 5.0);
+        assert_eq!(a.num("stamped_batches"), 5.0);
+        assert!(a.num("paths_per_sec") > 0.0);
+        assert!(a.num("batches_per_sec") > 0.0);
+        assert!(a.num("stamped_plans_per_sec") > 0.0);
+        assert_eq!(BenchRecord::parse(&ROUTE, &a.to_json()), Ok(a));
     }
 
     #[test]
@@ -443,44 +341,9 @@ mod tests {
             .write_u64(cs.misses)
             .write_u64(cs.fallbacks);
         assert_eq!(
-            r.stamped_fingerprint,
+            r.text("stamped_fingerprint"),
             format!("{:#018x}", expect.finish()),
             "stamped digest no longer matches the scratch-predicted stream"
         );
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let r = run_route_bench(50, 2);
-        let parsed = match RouteBenchReport::parse(&r.to_json()) {
-            Ok(p) => p,
-            Err(e) => panic!("parse own json: {e}"),
-        };
-        assert_eq!(parsed, r);
-    }
-
-    #[test]
-    fn baseline_gates_have_teeth() {
-        let r = run_route_bench(50, 2);
-        assert!(compare_route_baseline(&r, &r).is_empty());
-        let mut slow = r.clone();
-        slow.paths_per_sec = r.paths_per_sec * MIN_PERF_RATIO * 0.5;
-        assert_eq!(compare_route_baseline(&slow, &r).len(), 1);
-        let mut moved = r.clone();
-        moved.fingerprint = "0xdeadbeefdeadbeef".into();
-        assert_eq!(compare_route_baseline(&moved, &r).len(), 1);
-        let mut resized = r.clone();
-        resized.searches += 1;
-        assert_eq!(compare_route_baseline(&resized, &r).len(), 1);
-        let mut unstamped = r.clone();
-        unstamped.stamped_fingerprint = "0xdeadbeefdeadbeef".into();
-        assert_eq!(compare_route_baseline(&unstamped, &r).len(), 1);
-        let mut slow_stamp = r.clone();
-        slow_stamp.stamped_plans_per_sec = r.stamped_plans_per_sec * MIN_PERF_RATIO * 0.5;
-        // Floor gate always fires; release builds add the speedup gate.
-        assert!(!compare_route_baseline(&slow_stamp, &r).is_empty());
-        let mut reshaped = r.clone();
-        reshaped.stamped_batches += 1;
-        assert_eq!(compare_route_baseline(&reshaped, &r).len(), 1);
     }
 }

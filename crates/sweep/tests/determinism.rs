@@ -1,6 +1,7 @@
 //! Worker-count equivalence: the sweep's core promise, tested end to end.
 
-use sweep::{run_sweep, BenchReport, GridSpec};
+use desim::bench::BenchRecord;
+use sweep::{bench_record, outcome_to_json, run_sweep, GridSpec, SWEEP};
 
 /// The headline property: 1, 2, 4 and 8 workers produce bit-identical
 /// fingerprints and per-scenario results on the same grid.
@@ -68,20 +69,28 @@ fn base_seed_changes_the_fingerprint() {
     assert_ne!(a.fingerprint, b.fingerprint);
 }
 
-/// A BenchReport built from a real outcome survives its own JSON.
+/// A bench record built from a real outcome survives its own JSON, and
+/// the `--json` artifact nests it verbatim under `"bench"`.
 #[test]
 fn bench_report_round_trips_from_a_real_run() {
     let grid = GridSpec::smoke(42);
     let sequential = run_sweep(&grid, 1);
     let parallel = run_sweep(&grid, 2);
-    let report = BenchReport::from_runs(&parallel, sequential.wall.as_secs_f64());
-    let parsed = match BenchReport::parse(&report.to_json()) {
+    let seq_wall = sequential.wall.as_secs_f64();
+    let report = bench_record(&parallel, seq_wall);
+    let json = report.to_json();
+    let parsed = match BenchRecord::parse(&SWEEP, &json) {
         Ok(p) => p,
         Err(e) => panic!("round trip failed: {e}"),
     };
     assert_eq!(parsed, report);
     assert_eq!(
-        parsed.fingerprint,
+        parsed.text("fingerprint"),
         format!("{:#018x}", parallel.fingerprint)
     );
+    let nested = format!(
+        "{{\n  \"bench\": {},\n",
+        json.trim_end().replace('\n', "\n  ")
+    );
+    assert!(outcome_to_json(&parallel, seq_wall).starts_with(&nested));
 }

@@ -16,14 +16,12 @@
 //!    suppressions require a reason; `detlint.toml` baselines only
 //!    ratchet down. A planted-violation negative control proves the
 //!    analyzer has teeth on every run.
-//! 3. **perf baselines** — re-runs the committed `BENCH_sweep.json` grid
-//!    via `spsim sweep`, the committed `BENCH_route.json` workload via
-//!    `spsim routebench`, and the committed `BENCH_pod.json` pod smoke
-//!    (4096 chips, two epoch windows, sharded vs sequential) via
-//!    `spsim pod --smoke` (release builds) and gates all three:
-//!    fingerprints, journal hashes, scenario/workload/record counts, and
-//!    event counts must match the baselines exactly, and throughput may
-//!    not regress below the tolerance floor.
+//! 3. **perf baselines** — for each row of `BENCH_GATES` (sweep, route,
+//!    pod, ctrl, placement), re-runs the `spsim` command that wrote the
+//!    committed `BENCH_*.json` (release build) and gates the fresh
+//!    [`desim::bench::BenchRecord`] on it: exact keys (fingerprints,
+//!    journal hashes, counts) must match, floor/ceiling keys stay within
+//!    the tolerance ratio.
 //! 4. **fmt** — `cargo fmt --check` (skipped gracefully when rustfmt is
 //!    not installed).
 //! 5. **clippy** — `cargo clippy --workspace --all-targets` with
@@ -39,6 +37,7 @@ use collectives::cost::CostParams;
 use collectives::{
     all_to_all, bucket_reduce_scatter, ring_all_reduce, ring_reduce_scatter, snake_order, Mode,
 };
+use desim::bench::{BenchRecord, Family};
 use lightpath::{CircuitRequest, TileCoord, Wafer, WaferConfig};
 use resilience::{fig6a, optical_repair, PhotonicRack};
 use std::path::{Path, PathBuf};
@@ -104,11 +103,11 @@ fn lint(flags: &[String]) -> ExitCode {
     failures.extend(detlint_run(&root, false, &[]));
 
     for gate in BENCH_GATES {
-        section(&format!("perf baseline: {}", gate.baseline));
+        section(&format!("perf baseline: {}", gate.file));
         if skip_bench {
             println!("  skipped (--skip-bench)");
         } else {
-            failures.extend((gate.run)(&root));
+            failures.extend(run_bench_gate(&root, gate));
         }
     }
 
@@ -777,78 +776,120 @@ fn verify_golden(root: &Path) -> Vec<String> {
 
 // --------------------------------------------------------- perf baseline --
 
-/// One committed perf-baseline artifact and the typed gate that re-runs
-/// and compares it. `lint` walks [`BENCH_GATES`] in order; adding a gate
-/// is one table entry plus a thin typed wrapper over [`run_bench_gate`].
+/// One committed perf baseline: the file at the workspace root (also the
+/// section title `lint` prints), the record family that reads and gates
+/// it, and the `spsim` argv that reproduces it. A `{key}` argument is
+/// filled from the committed baseline's value of `key`, so the regen
+/// command is derived from the file, never typed by hand.
 struct BenchGate {
-    /// The committed artifact at the workspace root (also the section
-    /// title `lint` prints).
-    baseline: &'static str,
-    /// The typed gate body.
-    run: fn(&Path) -> Vec<String>,
+    file: &'static str,
+    family: &'static Family,
+    argv: &'static [&'static str],
 }
 
 /// Every perf gate `cargo xtask lint` enforces, in run order.
 const BENCH_GATES: &[BenchGate] = &[
     BenchGate {
-        baseline: "BENCH_sweep.json",
-        run: sweep_baseline,
+        file: "BENCH_sweep.json",
+        family: &sweep::SWEEP,
+        argv: &["sweep", "--grid", "{grid}", "--workers", "{workers}"],
     },
     BenchGate {
-        baseline: "BENCH_route.json",
-        run: route_baseline,
+        file: "BENCH_route.json",
+        family: &sweep::ROUTE,
+        argv: &[
+            "routebench",
+            "--searches",
+            "{searches}",
+            "--batches",
+            "{batches}",
+        ],
     },
+    // The full 4096-chip pod over two epoch windows; `spsim pod --smoke`
+    // refuses to report unless the sharded and sequential runs agree.
     BenchGate {
-        baseline: "BENCH_pod.json",
-        run: pod_baseline,
+        file: "BENCH_pod.json",
+        family: &pod::POD,
+        argv: &["pod", "--smoke"],
     },
+    // The `fabricd::bench_config` campaign, its full and delta replays.
     BenchGate {
-        baseline: "BENCH_ctrl.json",
-        run: ctrl_baseline,
+        file: "BENCH_ctrl.json",
+        family: &fabricd::CTRL,
+        argv: &["ctrl", "--campaign"],
     },
+    // The stitch policy on eight single-rack shard domains, so a 64-chip
+    // job cannot fit a broken group without crossing a rack face.
     BenchGate {
-        baseline: "BENCH_placement.json",
-        run: placement_baseline,
+        file: "BENCH_placement.json",
+        family: &pod::POD,
+        argv: &[
+            "pod",
+            "--chips",
+            "{chips}",
+            "--jobs",
+            "{jobs}",
+            "--failures",
+            "2",
+            "--policy",
+            "{policy}",
+        ],
     },
 ];
 
-/// The shared skeleton every perf gate runs: read the committed baseline,
-/// parse it, re-run the workload through `spsim` (release, so throughput
-/// is comparable to the committed numbers) into a scratch artifact under
-/// `target/`, parse that, compare, and report. The closures supply the
-/// typed pieces: `argv` builds the spsim invocation from the parsed
-/// baseline (`--write-baseline <scratch>` is appended here), `compare`
-/// returns the violated gates, `ok_line` renders the success summary.
-fn run_bench_gate<R>(
-    root: &Path,
-    baseline_file: &str,
-    regen: &str,
-    parse: fn(&str) -> Result<R, String>,
-    argv: impl FnOnce(&R) -> Vec<String>,
-    compare: impl FnOnce(&R, &R) -> Vec<String>,
-    ok_line: impl FnOnce(&R, &R) -> String,
-) -> Vec<String> {
-    let baseline_path = root.join(baseline_file);
+impl BenchGate {
+    /// The argv with every `{key}` filled from `baseline`.
+    fn argv(&self, baseline: &BenchRecord) -> Result<Vec<String>, String> {
+        self.argv
+            .iter()
+            .map(
+                |arg| match arg.strip_prefix('{').and_then(|a| a.strip_suffix('}')) {
+                    Some(key) => baseline.get(key).map(ToString::to_string).ok_or_else(|| {
+                        format!(
+                            "{}: argv names {arg}, not a {} key",
+                            self.file, self.family.name
+                        )
+                    }),
+                    None => Ok(arg.to_string()),
+                },
+            )
+            .collect()
+    }
+
+    /// The command that rewrites the committed file from `argv`.
+    fn regen<S: AsRef<str>>(&self, argv: &[S]) -> String {
+        let args: Vec<&str> = argv.iter().map(AsRef::as_ref).collect();
+        format!("spsim {} --write-baseline {}", args.join(" "), self.file)
+    }
+}
+
+/// Read the committed baseline, re-run its workload through `spsim`
+/// (release, so throughput is comparable to the committed numbers) into a
+/// scratch artifact under `target/`, and gate the fresh record on it.
+fn run_bench_gate(root: &Path, gate: &BenchGate) -> Vec<String> {
+    let baseline_path = root.join(gate.file);
     let baseline_text = match std::fs::read_to_string(&baseline_path) {
         Ok(t) => t,
         Err(e) => {
             println!("  FAIL cannot read {}: {e}", baseline_path.display());
             return vec![format!(
-                "missing perf baseline {} — generate with `{regen}`",
-                baseline_path.display()
+                "missing perf baseline {} — generate with `{}`",
+                baseline_path.display(),
+                gate.regen(gate.argv)
             )];
         }
     };
-    let baseline = match parse(&baseline_text) {
-        Ok(b) => b,
+    let parsed =
+        BenchRecord::parse(gate.family, &baseline_text).and_then(|b| Ok((gate.argv(&b)?, b)));
+    let (args, baseline) = match parsed {
+        Ok(p) => p,
         Err(e) => {
             println!("  FAIL unparseable baseline: {e}");
             return vec![format!("unparseable {}: {e}", baseline_path.display())];
         }
     };
-    let args = argv(&baseline);
-    let subcommand = args.first().cloned().unwrap_or_default();
-    let stem = baseline_file.strip_suffix(".json").unwrap_or(baseline_file);
+    let subcommand = gate.argv.first().copied().unwrap_or_default();
+    let stem = gate.file.strip_suffix(".json").unwrap_or(gate.file);
     let current_path = root.join("target").join(format!("{stem}.current.json"));
     let status = cargo()
         .current_dir(root)
@@ -873,7 +914,7 @@ fn run_bench_gate<R>(
     }
     let current = match std::fs::read_to_string(&current_path)
         .map_err(|e| e.to_string())
-        .and_then(|t| parse(&t))
+        .and_then(|t| BenchRecord::parse(gate.family, &t))
     {
         Ok(c) => c,
         Err(e) => {
@@ -881,209 +922,19 @@ fn run_bench_gate<R>(
             return vec![format!("unreadable {}: {e}", current_path.display())];
         }
     };
-    let failures = compare(&current, &baseline);
+    let failures = current.compare(&baseline);
     if failures.is_empty() {
-        println!("  ok   {}", ok_line(&current, &baseline));
+        println!("  ok   {}", current.ok_line(&baseline));
     } else {
         for f in &failures {
             println!("  FAIL {f}");
         }
+        println!(
+            "  if the change is intended, regenerate with `{}`",
+            gate.regen(&args)
+        );
     }
     failures
-}
-
-/// Re-run the committed benchmark grid through `spsim sweep` and gate on
-/// `BENCH_sweep.json`: exact fingerprint/scenario/event equality,
-/// tolerant throughput floor (see [`sweep::MIN_PERF_RATIO`]).
-fn sweep_baseline(root: &Path) -> Vec<String> {
-    run_bench_gate(
-        root,
-        "BENCH_sweep.json",
-        "spsim sweep --grid smoke --workers 2 --write-baseline BENCH_sweep.json",
-        sweep::BenchReport::parse,
-        |b| {
-            vec![
-                "sweep".into(),
-                "--grid".into(),
-                b.grid.clone(),
-                "--workers".into(),
-                b.workers.to_string(),
-            ]
-        },
-        sweep::compare_baseline,
-        |c, b| {
-            format!(
-                "grid '{}' fingerprint {} reproduced; {:.0} events/s (baseline {:.0}, \
-                 floor {:.2}x)",
-                c.grid,
-                c.fingerprint,
-                c.events_per_sec,
-                b.events_per_sec,
-                sweep::MIN_PERF_RATIO
-            )
-        },
-    )
-}
-
-/// Re-run the committed routing benchmark through `spsim routebench` and
-/// gate on `BENCH_route.json`: exact workload and path-fingerprint
-/// equality, tolerant throughput floors for both rates.
-fn route_baseline(root: &Path) -> Vec<String> {
-    run_bench_gate(
-        root,
-        "BENCH_route.json",
-        "spsim routebench --write-baseline BENCH_route.json",
-        sweep::RouteBenchReport::parse,
-        |b| {
-            vec![
-                "routebench".into(),
-                "--searches".into(),
-                b.searches.to_string(),
-                "--batches".into(),
-                b.batches.to_string(),
-            ]
-        },
-        sweep::compare_route_baseline,
-        |c, b| {
-            format!(
-                "fingerprints {} / {} (stamped) reproduced; {:.0} paths/s, \
-                 {:.0} batches/s, {:.0} stamped plans/s ({:.1}x scratch; baseline \
-                 {:.0}/{:.0}/{:.0}, floor {:.2}x)",
-                c.fingerprint,
-                c.stamped_fingerprint,
-                c.paths_per_sec,
-                c.batches_per_sec,
-                c.stamped_plans_per_sec,
-                if c.batches_per_sec > 0.0 {
-                    c.stamped_plans_per_sec / c.batches_per_sec
-                } else {
-                    0.0
-                },
-                b.paths_per_sec,
-                b.batches_per_sec,
-                b.stamped_plans_per_sec,
-                sweep::MIN_PERF_RATIO
-            )
-        },
-    )
-}
-
-/// Re-run the committed pod smoke — the full 4096-chip pod over two epoch
-/// windows, shards=1 vs shards=4 (`spsim pod --smoke` refuses to report at
-/// all unless the sharded and sequential fingerprints agree bit for bit) —
-/// and gate on `BENCH_pod.json`: exact fingerprint, journal hash, record
-/// and event counts, tolerant events/sec floor (see
-/// [`pod::MIN_PERF_RATIO`]).
-fn pod_baseline(root: &Path) -> Vec<String> {
-    run_bench_gate(
-        root,
-        "BENCH_pod.json",
-        "spsim pod --smoke --write-baseline BENCH_pod.json",
-        pod::PodBenchReport::parse,
-        |_| vec!["pod".into(), "--smoke".into()],
-        pod::compare_baseline,
-        |c, b| {
-            format!(
-                "{} chips / {} groups / {} epochs: fingerprint {} and journal {} \
-                 reproduced; {:.0} events/s (baseline {:.0}, floor {:.2}x)",
-                c.chips,
-                c.groups,
-                c.epochs,
-                c.fingerprint,
-                c.journal_hash,
-                c.events_per_sec,
-                b.events_per_sec,
-                pod::MIN_PERF_RATIO
-            )
-        },
-    )
-}
-
-/// Re-run the committed control-plane bench — the [`fabricd::bench_config`]
-/// campaign with periodic snapshots, a from-scratch replay, and a delta
-/// replay from the last snapshot — and gate on `BENCH_ctrl.json`: exact
-/// fingerprint, journal hash, record/snapshot/admission counts, the
-/// tail-replay record count (the structural O(tail) claim), a tolerant
-/// admissions/sec floor, and a tolerant tail-replay latency ceiling (see
-/// [`fabricd::MIN_CTRL_PERF_RATIO`]).
-fn ctrl_baseline(root: &Path) -> Vec<String> {
-    run_bench_gate(
-        root,
-        "BENCH_ctrl.json",
-        "spsim ctrl --campaign --write-baseline BENCH_ctrl.json",
-        fabricd::CtrlBenchReport::parse,
-        |_| vec!["ctrl".into(), "--campaign".into()],
-        fabricd::compare_ctrl_baseline,
-        |c, b| {
-            format!(
-                "{} jobs / {} snapshots: fingerprint {} and journal {} reproduced; \
-                 delta replay folds {} of {} records in {:.3} ms; {:.0} admissions/s \
-                 (baseline {:.0}, floor {:.2}x)",
-                c.jobs,
-                c.snapshots,
-                c.fingerprint,
-                c.journal_hash,
-                c.replay_tail_records,
-                c.replay_full_records,
-                c.replay_tail_ms,
-                c.admissions_per_sec,
-                b.admissions_per_sec,
-                fabricd::MIN_CTRL_PERF_RATIO
-            )
-        },
-    )
-}
-
-/// Re-run the committed cross-group placement scenario — the stitch
-/// policy on a 512-chip pod (eight single-rack shard domains, so a
-/// 64-chip job cannot fit a broken group without crossing a rack face) —
-/// and gate on `BENCH_placement.json`: exact fingerprint, journal hash,
-/// policy and stitch-counter equality, the tolerant events/sec floor,
-/// plus the structural claim that at least one cross-group job was
-/// admitted (a stitch policy that silently stops stitching fails the
-/// gate even if it stays deterministic).
-fn placement_baseline(root: &Path) -> Vec<String> {
-    run_bench_gate(
-        root,
-        "BENCH_placement.json",
-        "spsim pod --chips 512 --jobs 96 --failures 2 --policy stitch \
-         --write-baseline BENCH_placement.json",
-        pod::PodBenchReport::parse,
-        |b| {
-            vec![
-                "pod".into(),
-                "--chips".into(),
-                b.chips.to_string(),
-                "--jobs".into(),
-                b.jobs.to_string(),
-                "--failures".into(),
-                "2".into(),
-                "--policy".into(),
-                b.policy.clone(),
-            ]
-        },
-        |c, b| {
-            let mut f = pod::compare_baseline(c, b);
-            if c.stitch_admits == 0 {
-                f.push("placement gate: the stitch policy admitted no cross-group job".into());
-            }
-            f
-        },
-        |c, b| {
-            format!(
-                "policy '{}': {} stitched job(s) ({} legs, {} rollbacks), fingerprint {} \
-                 reproduced; {:.0} events/s (baseline {:.0}, floor {:.2}x)",
-                c.policy,
-                c.stitch_admits,
-                c.stitch_legs,
-                c.stitch_rollbacks,
-                c.fingerprint,
-                c.events_per_sec,
-                b.events_per_sec,
-                pod::MIN_PERF_RATIO
-            )
-        },
-    )
 }
 
 // --------------------------------------------------------- source audits --
@@ -1292,6 +1143,264 @@ fn run_clippy(root: &Path) -> Vec<String> {
         Err(e) => {
             println!("  skipped: could not spawn cargo clippy ({e})");
             Vec::new()
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use desim::bench::Gate::{self, *};
+    use desim::bench::Value;
+
+    /// Each committed baseline: its gate row, its text, and its record.
+    fn committed() -> Vec<(&'static BenchGate, String, BenchRecord)> {
+        let root = workspace_root();
+        BENCH_GATES
+            .iter()
+            .map(|g| {
+                let text = std::fs::read_to_string(root.join(g.file)).expect(g.file);
+                let record = BenchRecord::parse(g.family, &text)
+                    .unwrap_or_else(|e| panic!("{}: {e}", g.file));
+                (g, text, record)
+            })
+            .collect()
+    }
+
+    /// `base` with `key` set to `value`.
+    fn with(base: &BenchRecord, family: &'static Family, key: &str, value: &Value) -> BenchRecord {
+        let rows = base
+            .rows()
+            .map(|(k, v, _)| (k, if k == key { value } else { v }.clone()))
+            .collect();
+        BenchRecord::new(family, rows)
+    }
+
+    /// Every key that is not exact-gated: (file, key, gate).
+    const NOT_EXACT: &[(&str, &str, Gate)] = &[
+        ("BENCH_sweep.json", "workers", Info),
+        ("BENCH_sweep.json", "wall_s", Info),
+        ("BENCH_sweep.json", "events_per_sec", Floor),
+        ("BENCH_sweep.json", "speedup_vs_1", Info),
+        ("BENCH_route.json", "wall_s", Info),
+        ("BENCH_route.json", "paths_per_sec", Floor),
+        ("BENCH_route.json", "batches_per_sec", Floor),
+        ("BENCH_route.json", "stamped_plans_per_sec", Floor),
+        ("BENCH_pod.json", "shards", Info),
+        ("BENCH_pod.json", "wall_s", Info),
+        ("BENCH_pod.json", "events_per_sec", Floor),
+        ("BENCH_ctrl.json", "wall_s", Info),
+        ("BENCH_ctrl.json", "admissions_per_sec", Floor),
+        ("BENCH_ctrl.json", "replay_full_ms", Info),
+        ("BENCH_ctrl.json", "replay_tail_ms", Ceiling),
+        ("BENCH_placement.json", "shards", Info),
+        ("BENCH_placement.json", "wall_s", Info),
+        ("BENCH_placement.json", "events_per_sec", Floor),
+    ];
+
+    #[test]
+    fn every_key_is_gated_as_classified() {
+        for (g, _, base) in committed() {
+            assert!(base.compare(&base).is_empty(), "{}", g.file);
+            for (key, value, gate) in base.rows() {
+                let want = NOT_EXACT
+                    .iter()
+                    .find(|&&(f, k, _)| f == g.file && k == key)
+                    .map_or(Exact, |&(_, _, gate)| gate);
+                assert_eq!(gate, want, "{} {key}", g.file);
+                let failures = |v: Value| with(&base, g.family, key, &v).compare(&base);
+                let names_key = |f: &[String]| f.iter().any(|m| m.starts_with(&format!("{key} ")));
+                let x = base.num(key);
+                match gate {
+                    Exact => {
+                        let moved = match value {
+                            Value::U64(v) => Value::U64(v + 1),
+                            Value::F64(v) => Value::F64(v * 2.0 + 1.0),
+                            Value::Str(s) => Value::Str(format!("{s}~")),
+                        };
+                        let f = failures(moved);
+                        assert!(f.len() == 1 && names_key(&f), "{} {key}: {f:?}", g.file);
+                    }
+                    Floor => {
+                        let f = failures(Value::F64(x * 0.05));
+                        assert!(names_key(&f), "{} {key} at 0.05x: {f:?}", g.file);
+                        let f = failures(Value::F64(x * 0.5));
+                        assert!(f.is_empty(), "{} {key} at 0.5x: {f:?}", g.file);
+                    }
+                    Ceiling => {
+                        let f = failures(Value::F64(x * 20.0));
+                        assert!(names_key(&f), "{} {key} at 20x: {f:?}", g.file);
+                        let f = failures(Value::F64(x * 2.0));
+                        assert!(f.is_empty(), "{} {key} at 2x: {f:?}", g.file);
+                    }
+                    Info => {
+                        let any = match value {
+                            Value::U64(_) => [Value::U64(0), Value::U64(u64::MAX)],
+                            _ => [Value::F64(0.0), Value::F64(x * 1000.0 + 1.0)],
+                        };
+                        for v in any {
+                            let f = failures(v);
+                            assert!(f.is_empty(), "{} {key}: {f:?}", g.file);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_stitch_run_that_stitches_nothing_fails_the_placement_gate() {
+        let (g, _, base) = committed()
+            .into_iter()
+            .find(|(g, _, _)| g.file == "BENCH_placement.json")
+            .expect("placement row");
+        let none = with(&base, g.family, "stitch_admits", &Value::U64(0));
+        let f = none.compare(&none);
+        assert!(
+            f.len() == 1 && f.iter().all(|m| m.contains("placement gate")),
+            "{f:?}"
+        );
+    }
+
+    #[test]
+    fn committed_baselines_round_trip_byte_for_byte() {
+        for (g, text, record) in committed() {
+            assert_eq!(record.to_json(), text, "{}", g.file);
+        }
+    }
+
+    #[test]
+    fn misplaced_keys_and_wrong_kinds_are_errors_naming_the_key() {
+        for (g, text, _) in committed() {
+            let lines: Vec<String> = text.lines().map(str::to_string).collect();
+            let rejects = |mutant: &[String], name: &str, what: &str| match BenchRecord::parse(
+                g.family,
+                &(mutant.join("\n") + "\n"),
+            ) {
+                Ok(_) => panic!("{} {what} {name}: accepted", g.file),
+                Err(e) => assert!(e.contains(&format!("\"{name}\"")), "{}: {e}", g.file),
+            };
+            let last = lines.len() - 2;
+            for i in 1..=last {
+                let line = &lines[i];
+                let key = line.split('"').nth(1).expect("key");
+                let mut m = lines.clone();
+                m.remove(i);
+                rejects(&m, key, "missing");
+                let mut m = lines.clone();
+                m.insert(i + 1, line.clone());
+                rejects(&m, key, "duplicated");
+                let mut m = lines.clone();
+                m[i] = line.replacen(key, "zz_unknown", 1);
+                rejects(&m, "zz_unknown", "unknown");
+                if i < last {
+                    let mut m = lines.clone();
+                    m.swap(i, i + 1);
+                    rejects(&m, key, "reordered");
+                }
+                let (head, raw) = line.split_once(": ").expect("row");
+                let (raw, comma) = raw.strip_suffix(',').map_or((raw, ""), |r| (r, ","));
+                let swapped = match raw.strip_prefix('"').and_then(|r| r.strip_suffix('"')) {
+                    Some(inner) => inner.to_string(),
+                    None => format!("\"{raw}\""),
+                };
+                let mut m = lines.clone();
+                m[i] = format!("{head}: {swapped}{comma}");
+                rejects(&m, key, "wrong kind");
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_baselines_are_rejected_or_read_back_verbatim() {
+        for (g, text, _) in committed() {
+            let bytes = text.as_bytes();
+            let lines: Vec<&str> = text.split_inclusive('\n').collect();
+            let truncated = (0..bytes.len()).map(|n| bytes[..n].to_vec());
+            let swapped = (0..lines.len() - 1).map(|i| {
+                let mut l = lines.clone();
+                l.swap(i, i + 1);
+                l.concat().into_bytes()
+            });
+            for m in truncated.chain(swapped) {
+                let t = String::from_utf8(m).unwrap_or_default();
+                assert!(
+                    BenchRecord::parse(g.family, &t).is_err(),
+                    "{}: {t:?}",
+                    g.file
+                );
+            }
+            for at in (0..bytes.len()).step_by(13) {
+                let mut m = bytes.to_vec();
+                m[at] ^= 1 << (at % 8);
+                let Ok(t) = String::from_utf8(m) else {
+                    continue;
+                };
+                if let Ok(r) = BenchRecord::parse(g.family, &t) {
+                    assert_eq!(r.to_json(), t, "{} bit flip at {at}", g.file);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_committed_baseline_has_exactly_one_gate_row() {
+        let mut files: Vec<String> = std::fs::read_dir(workspace_root())
+            .expect("workspace root")
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+            .collect();
+        files.sort();
+        let mut rows: Vec<String> = BENCH_GATES.iter().map(|g| g.file.to_string()).collect();
+        rows.sort();
+        assert_eq!(rows, files);
+    }
+
+    #[test]
+    fn argv_templates_name_only_family_keys() {
+        for g in BENCH_GATES {
+            for arg in g.argv {
+                if let Some(key) = arg.strip_prefix('{').and_then(|a| a.strip_suffix('}')) {
+                    assert!(
+                        g.family.keys.iter().any(|&(k, _, _)| k == key),
+                        "{}: {arg}",
+                        g.file
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn regen_command_is_derived_from_each_committed_file() {
+        let want = [
+            (
+                "BENCH_sweep.json",
+                "spsim sweep --grid smoke --workers 1 --write-baseline BENCH_sweep.json",
+            ),
+            (
+                "BENCH_route.json",
+                "spsim routebench --searches 200000 --batches 2000 \
+                 --write-baseline BENCH_route.json",
+            ),
+            (
+                "BENCH_pod.json",
+                "spsim pod --smoke --write-baseline BENCH_pod.json",
+            ),
+            (
+                "BENCH_ctrl.json",
+                "spsim ctrl --campaign --write-baseline BENCH_ctrl.json",
+            ),
+            (
+                "BENCH_placement.json",
+                "spsim pod --chips 512 --jobs 96 --failures 2 --policy stitch \
+                 --write-baseline BENCH_placement.json",
+            ),
+        ];
+        for (g, _, record) in committed() {
+            let argv = g.argv(&record).expect("argv");
+            let expected = want.iter().find(|&&(f, _)| f == g.file).map(|&(_, c)| c);
+            assert_eq!(Some(g.regen(&argv).as_str()), expected);
         }
     }
 }

@@ -14,16 +14,17 @@ use std::process::ExitCode;
 use server_photonics::collectives::{
     all_to_all, bucket_reduce_scatter, execute, ring_reduce_scatter, snake_order, CostParams, Mode,
 };
+use server_photonics::desim::bench::BenchRecord;
 use server_photonics::desim::{SimDuration, SimRng, SimTime};
 use server_photonics::fabricd::{self, CampaignOptions, CtrlConfig, CtrlSnapshot};
 use server_photonics::hostnet::{self, CircuitPolicy, HostParams, Message, PeerId};
 use server_photonics::lightpath::{CircuitRequest, FabricError, TileCoord, Wafer, WaferConfig};
-use server_photonics::pod::{self, PodBenchReport, PodConfig, PodOptions, PodSnapshot};
+use server_photonics::pod::{self, PodConfig, PodOptions, PodSnapshot};
 use server_photonics::resilience::{
     analyze, fig6a, measure_interference, optical_repair, PhotonicRack,
 };
 use server_photonics::sweep::{
-    outcome_to_json, route_bench, run_route_bench, run_sweep, BenchReport, GridSpec,
+    self, outcome_to_json, route_bench, run_route_bench, run_sweep, GridSpec,
 };
 use server_photonics::topo::{Coord3, Shape3, Slice, Torus};
 use server_photonics::workloads::{generate, simulate as simulate_placement, ArrivalParams};
@@ -279,11 +280,11 @@ fn cmd_ctrl_campaign(args: &Args) -> Result<(), String> {
         std::fs::write(path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!(
             "ctrl bench: {} admissions at {:.0}/s, delta replay {} of {} records in {:.3} ms",
-            report.admissions,
-            report.admissions_per_sec,
-            report.replay_tail_records,
-            report.replay_full_records,
-            report.replay_tail_ms
+            report.text("admissions"),
+            report.num("admissions_per_sec"),
+            report.text("replay_tail_records"),
+            report.text("replay_full_records"),
+            report.num("replay_tail_ms")
         );
         println!("  baseline written to {path}");
         return Ok(());
@@ -524,8 +525,8 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         m.churn_hops.mean()
     );
     let seq_wall = sequential.wall.as_secs_f64();
-    let bench = BenchReport::from_runs(&parallel, seq_wall);
-    println!("  speedup vs 1 worker: {:.2}x", bench.speedup_vs_1);
+    let bench = sweep::bench_record(&parallel, seq_wall);
+    println!("  speedup vs 1 worker: {:.2}x", bench.num("speedup_vs_1"));
     if let Some(path) = args.0.get("json") {
         let artifact = outcome_to_json(&parallel, seq_wall);
         std::fs::write(path, artifact).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -599,7 +600,7 @@ fn cmd_pod(args: &Args) -> Result<(), String> {
         print!("{}", run.metrics.summary());
         print!("{}", run.route.summary());
         if let Some(out) = args.0.get("json") {
-            let bench = PodBenchReport::from_outcome(&run, snap.config.jobs);
+            let bench = pod::bench_record(&run, snap.config.jobs);
             std::fs::write(out, bench.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
             println!("  report written to {out}");
         }
@@ -683,7 +684,7 @@ fn cmd_pod(args: &Args) -> Result<(), String> {
     );
     print!("{}", run.metrics.summary());
     print!("{}", run.route.summary());
-    let bench = PodBenchReport::from_outcome(&run, cfg.jobs);
+    let bench = pod::bench_record(&run, cfg.jobs);
     if let Some(path) = args.0.get("json") {
         std::fs::write(path, bench.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("  report written to {path}");
@@ -709,31 +710,35 @@ fn cmd_routebench(args: &Args) -> Result<(), String> {
     let searches: u64 = args.get("searches", route_bench::DEFAULT_SEARCHES)?;
     let batches: u64 = args.get("batches", route_bench::DEFAULT_BATCHES)?;
     let report = run_route_bench(searches, batches);
-    println!(
-        "routebench: {} searches + {} ring batches (scratch, then stamped) on a loaded 4x8 wafer",
-        report.searches, report.batches
-    );
-    println!("  fingerprint : {}", report.fingerprint);
-    println!(
-        "  paths/sec   : {:.0}   batches/sec: {:.0}   ({:.3}s wall)",
-        report.paths_per_sec, report.batches_per_sec, report.wall_s
+    let (stamped, scratch) = (
+        report.num("stamped_plans_per_sec"),
+        report.num("batches_per_sec"),
     );
     println!(
-        "  stamped     : {:.0} plans/sec ({:.1}x scratch), fingerprint {}",
-        report.stamped_plans_per_sec,
-        if report.batches_per_sec > 0.0 {
-            report.stamped_plans_per_sec / report.batches_per_sec
+        "routebench: {searches} searches + {batches} ring batches (scratch, then stamped) on a \
+         loaded 4x8 wafer"
+    );
+    println!("  fingerprint : {}", report.text("fingerprint"));
+    println!(
+        "  paths/sec   : {:.0}   batches/sec: {scratch:.0}   ({:.3}s wall)",
+        report.num("paths_per_sec"),
+        report.num("wall_s")
+    );
+    println!(
+        "  stamped     : {stamped:.0} plans/sec ({:.1}x scratch), fingerprint {}",
+        if scratch > 0.0 {
+            stamped / scratch
         } else {
             0.0
         },
-        report.stamped_fingerprint
+        report.text("stamped_fingerprint")
     );
     if args.get_str("stamped", "false") == "true" {
         let path = args.get_str("baseline", "BENCH_route.json");
         let text =
             std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let baseline = route_bench::RouteBenchReport::parse(&text)?;
-        let failures = route_bench::compare_route_baseline(&report, &baseline);
+        let baseline = BenchRecord::parse(&sweep::ROUTE, &text)?;
+        let failures = report.compare(&baseline);
         for f in &failures {
             eprintln!("  GATE {f}");
         }
